@@ -1,7 +1,5 @@
 #include "dma/bounce.h"
 
-#include <vector>
-
 #include "base/align.h"
 
 namespace spv::dma {
@@ -34,9 +32,7 @@ Status BounceDma::Copy(Kva dst, Kva src, uint64_t len) {
   if (!src_phys.ok() || !dst_phys.ok()) {
     return InvalidArgument("bounce copy outside the direct map");
   }
-  std::vector<uint8_t> buf(len);
-  SPV_RETURN_IF_ERROR(pm_.Read(*src_phys, std::span<uint8_t>(buf)));
-  SPV_RETURN_IF_ERROR(pm_.Write(*dst_phys, std::span<const uint8_t>(buf)));
+  SPV_RETURN_IF_ERROR(pm_.Copy(*dst_phys, *src_phys, len));
   ++copies_;
   const uint64_t cycles = kCopyCyclesPerCacheLine * (AlignUp(len, 64) / 64);
   copy_cycles_ += cycles;

@@ -406,16 +406,22 @@ std::string IncidentEngine::SummaryJson() const {
     ++by_trigger[incident.trigger];
     ++by_class[std::string(AttackClassName(incident.inferred))];
   }
-  std::string out = "{\"count\":" + std::to_string(incidents_.size()) +
-                    ",\"suppressed\":" + std::to_string(suppressed_) +
-                    ",\"by_trigger\":{";
+  // Plain appends: GCC 12 -O3 misreports -Wrestrict on chained operator+.
+  std::string out = "{\"count\":";
+  out += std::to_string(incidents_.size());
+  out += ",\"suppressed\":";
+  out += std::to_string(suppressed_);
+  out += ",\"by_trigger\":{";
   bool first = true;
   for (const auto& [name, count] : by_trigger) {
     if (!first) {
       out += ",";
     }
     first = false;
-    out += "\"" + telemetry::JsonEscape(name) + "\":" + std::to_string(count);
+    out += "\"";
+    out += telemetry::JsonEscape(name);
+    out += "\":";
+    out += std::to_string(count);
   }
   out += "},\"by_class\":{";
   first = true;
@@ -424,7 +430,10 @@ std::string IncidentEngine::SummaryJson() const {
       out += ",";
     }
     first = false;
-    out += "\"" + name + "\":" + std::to_string(count);
+    out += "\"";
+    out += name;
+    out += "\":";
+    out += std::to_string(count);
   }
   out += "}}";
   return out;

@@ -1,17 +1,49 @@
 #include "mem/phys_memory.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
+#include <new>
+#include <utility>
 
 namespace spv::mem {
 
-PhysicalMemory::PhysicalMemory(uint64_t num_pages)
-    : num_pages_(num_pages), bytes_(num_pages << kPageShift, 0) {}
+PhysicalMemory::PhysicalMemory(uint64_t num_pages) : num_pages_(num_pages) {
+  if (num_pages_ == 0) {
+    return;
+  }
+  // Private and anonymous: every page reads zero until first written, and no
+  // two instances share a byte. NORESERVE because a machine rarely touches
+  // more than a small part of its simulated RAM.
+  void* mapping = mmap(nullptr, size_bytes(), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mapping == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  bytes_ = static_cast<uint8_t*>(mapping);
+}
+
+PhysicalMemory::~PhysicalMemory() {
+  if (bytes_ != nullptr) {
+    munmap(bytes_, size_bytes());
+  }
+}
+
+PhysicalMemory::PhysicalMemory(PhysicalMemory&& other) noexcept
+    : num_pages_(std::exchange(other.num_pages_, 0)),
+      bytes_(std::exchange(other.bytes_, nullptr)) {}
+
+PhysicalMemory& PhysicalMemory::operator=(PhysicalMemory&& other) noexcept {
+  std::swap(num_pages_, other.num_pages_);
+  std::swap(bytes_, other.bytes_);
+  return *this;
+}
 
 Status PhysicalMemory::Read(PhysAddr addr, std::span<uint8_t> out) const {
   if (!Contains(addr, out.size())) {
     return OutOfRange("phys read beyond end of memory");
   }
-  std::memcpy(out.data(), bytes_.data() + addr.value, out.size());
+  std::memcpy(out.data(), bytes_ + addr.value, out.size());
   return OkStatus();
 }
 
@@ -19,7 +51,7 @@ Status PhysicalMemory::Write(PhysAddr addr, std::span<const uint8_t> data) {
   if (!Contains(addr, data.size())) {
     return OutOfRange("phys write beyond end of memory");
   }
-  std::memcpy(bytes_.data() + addr.value, data.data(), data.size());
+  std::memcpy(bytes_ + addr.value, data.data(), data.size());
   return OkStatus();
 }
 
@@ -75,18 +107,26 @@ Status PhysicalMemory::Fill(PhysAddr addr, uint64_t len, uint8_t byte) {
   if (!Contains(addr, len)) {
     return OutOfRange("phys fill beyond end of memory");
   }
-  std::memset(bytes_.data() + addr.value, byte, len);
+  std::memset(bytes_ + addr.value, byte, len);
+  return OkStatus();
+}
+
+Status PhysicalMemory::Copy(PhysAddr dst, PhysAddr src, uint64_t len) {
+  if (!Contains(src, len) || !Contains(dst, len)) {
+    return OutOfRange("phys copy beyond end of memory");
+  }
+  std::memmove(bytes_ + dst.value, bytes_ + src.value, len);
   return OkStatus();
 }
 
 std::span<uint8_t> PhysicalMemory::PageSpan(Pfn pfn) {
   assert(pfn.value < num_pages_);
-  return std::span<uint8_t>(bytes_.data() + (pfn.value << kPageShift), kPageSize);
+  return std::span<uint8_t>(bytes_ + (pfn.value << kPageShift), kPageSize);
 }
 
 std::span<const uint8_t> PhysicalMemory::PageSpan(Pfn pfn) const {
   assert(pfn.value < num_pages_);
-  return std::span<const uint8_t>(bytes_.data() + (pfn.value << kPageShift), kPageSize);
+  return std::span<const uint8_t>(bytes_ + (pfn.value << kPageShift), kPageSize);
 }
 
 }  // namespace spv::mem

@@ -4,6 +4,12 @@
 // corrupt and every byte the simulated kernel parses lives here; host-side
 // C++ objects (drivers, rings, the sk_buff metadata that Linux also keeps
 // off the DMA page) merely *reference* ranges of this memory.
+//
+// The store is one private anonymous host mapping. The host kernel supplies
+// each page zeroed on its first touch, so constructing a machine's memory
+// costs nothing up front and resident set size counts touched pages only.
+// Addressing stays flat: page views, cross-page accesses and bounds checks
+// are plain pointer arithmetic over the mapping.
 
 #ifndef SPV_MEM_PHYS_MEMORY_H_
 #define SPV_MEM_PHYS_MEMORY_H_
@@ -11,7 +17,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <vector>
 
 #include "base/status.h"
 #include "base/types.h"
@@ -21,6 +26,13 @@ namespace spv::mem {
 class PhysicalMemory {
  public:
   explicit PhysicalMemory(uint64_t num_pages);
+  ~PhysicalMemory();
+
+  // Move-only: the mapping has exactly one owner.
+  PhysicalMemory(PhysicalMemory&& other) noexcept;
+  PhysicalMemory& operator=(PhysicalMemory&& other) noexcept;
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
   uint64_t num_pages() const { return num_pages_; }
   uint64_t size_bytes() const { return num_pages_ << kPageShift; }
@@ -46,13 +58,18 @@ class PhysicalMemory {
 
   Status Fill(PhysAddr addr, uint64_t len, uint8_t byte);
 
+  // Copies `len` bytes from `src` to `dst` inside the store, with memmove
+  // semantics for overlapping ranges. Either range out of bounds is an error
+  // and changes no byte.
+  Status Copy(PhysAddr dst, PhysAddr src, uint64_t len);
+
   // Direct page views for fast in-simulator parsing. Bounds are asserted.
   std::span<uint8_t> PageSpan(Pfn pfn);
   std::span<const uint8_t> PageSpan(Pfn pfn) const;
 
  private:
   uint64_t num_pages_;
-  std::vector<uint8_t> bytes_;
+  uint8_t* bytes_ = nullptr;  // the mapping; null when num_pages_ is 0
 };
 
 }  // namespace spv::mem

@@ -236,7 +236,16 @@ SoakReport RunSoak(const SoakConfig& config) {
   // invariant sweep audits a pool with live traffic in it.
   policy::PolicyEngine* engine = machine.policy();
   const DeviceId resident_hostile{kResidentHostileId};
-  std::optional<ChurnEntry> hostile_parked;
+  ChurnEntry hostile_parked;  // len 0: nothing parked
+  auto retire_parked = [&] {
+    if (hostile_parked.len == 0) {
+      return;
+    }
+    (void)machine.dma().UnmapSingle(resident_hostile, hostile_parked.iova, hostile_parked.len,
+                                    dma::DmaDirection::kBidirectional);
+    (void)machine.slab().Kfree(hostile_parked.kva);
+    hostile_parked = ChurnEntry{};
+  };
   if (engine != nullptr && config.hostile_hotplug) {
     machine.iommu().AttachDevice(resident_hostile);
     if (Status registered = engine->RegisterDevice(
@@ -548,13 +557,7 @@ SoakReport RunSoak(const SoakConfig& config) {
         epoch % config.hotplug_interval == config.hotplug_interval - 1) {
       // Rotate the resident hostile's parked bounce mapping first: retire the
       // old one (copy-out audited) and park a fresh one for coming epochs.
-      if (hostile_parked.has_value()) {
-        (void)machine.dma().UnmapSingle(resident_hostile, hostile_parked->iova,
-                                        hostile_parked->len,
-                                        dma::DmaDirection::kBidirectional);
-        (void)machine.slab().Kfree(hostile_parked->kva);
-        hostile_parked.reset();
-      }
+      retire_parked();
       if (Result<Kva> park = machine.slab().Kmalloc(1024, "soak_hostile_park");
           park.ok()) {
         Result<Iova> park_iova = machine.dma().MapSingle(
@@ -894,13 +897,7 @@ SoakReport RunSoak(const SoakConfig& config) {
                                     dma::DmaDirection::kFromDevice);
     (void)machine.slab().Kfree(entry.kva);
   }
-  if (hostile_parked.has_value()) {
-    (void)machine.dma().UnmapSingle(resident_hostile, hostile_parked->iova,
-                                    hostile_parked->len,
-                                    dma::DmaDirection::kBidirectional);
-    (void)machine.slab().Kfree(hostile_parked->kva);
-    hostile_parked.reset();
-  }
+  retire_parked();
   if (engine != nullptr) {
     // Posture snapshot while the resident devices are still registered: this
     // is the HSI-style exposure answer the run ends on, byte-identical for

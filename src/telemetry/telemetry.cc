@@ -168,9 +168,7 @@ std::vector<Histogram::Bucket> Histogram::NonZeroBuckets() const {
 
 // ---- TraceRing -----------------------------------------------------------------
 
-TraceRing::TraceRing(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {
-  slots_.resize(capacity_);
-}
+TraceRing::TraceRing(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {}
 
 bool TraceRing::Push(Event event) {
   if (event.severity < min_severity_) {
@@ -178,13 +176,15 @@ bool TraceRing::Push(Event event) {
     return false;
   }
   event.seq = next_seq_;
-  Event& slot = slots_[next_seq_ % capacity_];
-  if (next_seq_ >= capacity_) {
+  if (slots_.size() < capacity_) {
+    slots_.push_back(std::move(event));
+  } else {
     // Overwriting a live record: account the loss under the severity of what
     // is being lost, not of what is being written.
+    Event& slot = slots_[next_seq_ % capacity_];
     ++dropped_by_severity_[static_cast<size_t>(slot.severity)];
+    slot = std::move(event);
   }
-  slot = std::move(event);
   ++next_seq_;
   return true;
 }
@@ -195,10 +195,6 @@ uint64_t TraceRing::dropped() const {
     total += d;
   }
   return total;
-}
-
-size_t TraceRing::size() const {
-  return next_seq_ < capacity_ ? static_cast<size_t>(next_seq_) : capacity_;
 }
 
 std::vector<Event> TraceRing::Snapshot() const {
@@ -212,9 +208,7 @@ std::vector<Event> TraceRing::Snapshot() const {
 }
 
 void TraceRing::Clear() {
-  for (Event& slot : slots_) {
-    slot = Event{};
-  }
+  slots_.clear();
   next_seq_ = 0;
   filtered_ = 0;
   dropped_by_severity_.fill(0);

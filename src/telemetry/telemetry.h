@@ -248,9 +248,10 @@ class Histogram {
 
 // ---- Trace ring ----------------------------------------------------------------
 
-// Fixed-capacity single-writer ring. No allocation or rebalancing on the push
-// path (slot index is seq % capacity); the oldest record is overwritten when
-// full and accounted as dropped. A severity floor filters before recording.
+// Fixed-capacity single-writer ring. Slots are appended until the ring is
+// full, so an idle ring costs no Event construction; from then on the push
+// path overwrites in place (slot index is seq % capacity) and accounts the
+// oldest record as dropped. A severity floor filters before recording.
 class TraceRing {
  public:
   explicit TraceRing(size_t capacity);
@@ -265,7 +266,7 @@ class TraceRing {
   std::vector<Event> Snapshot() const;
 
   size_t capacity() const { return capacity_; }
-  size_t size() const;
+  size_t size() const { return slots_.size(); }
   uint64_t recorded() const { return next_seq_; }
   // Overwritten (lost) records, total and per overwritten-record severity.
   // A full ring churning kTrace events must not mask the loss of a kCritical
@@ -280,7 +281,7 @@ class TraceRing {
 
  private:
   size_t capacity_;
-  std::vector<Event> slots_;
+  std::vector<Event> slots_;  // grows to capacity_, then wraps
   uint64_t next_seq_ = 0;  // count of accepted events; next slot = seq % capacity
   uint64_t filtered_ = 0;
   std::array<uint64_t, 4> dropped_by_severity_{};

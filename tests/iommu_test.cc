@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -470,6 +471,13 @@ struct WindowParam {
   uint64_t interval_ms;
   bool expect_window;
 };
+
+// Printed explicitly: gtest's default printout of a struct is a hex dump of
+// its bytes, padding included, which changes from run to run and would make
+// the discovered test names unstable.
+void PrintTo(const WindowParam& param, std::ostream* os) {
+  *os << InvalidationModeName(param.mode) << "_" << param.interval_ms << "ms";
+}
 
 class StaleWindowTest : public ::testing::TestWithParam<WindowParam> {};
 

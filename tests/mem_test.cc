@@ -29,6 +29,80 @@ TEST(PhysMemoryTest, StartsZeroed) {
   }
 }
 
+TEST(PhysMemoryTest, MachineSizedStoreReadsZeroToTheLastPage) {
+  constexpr uint64_t kMachinePages = 16384;  // MachineConfig::phys_pages, 64 MiB
+  PhysicalMemory pm{kMachinePages};
+  for (Pfn pfn : {Pfn{0}, Pfn{kMachinePages - 1}}) {
+    for (uint8_t byte : pm.PageSpan(pfn)) {
+      ASSERT_EQ(byte, 0);
+    }
+  }
+  std::vector<uint8_t> buf(64, 0xff);
+  const PhysAddr straddle{(kMachinePages / 2) * kPageSize - 32};
+  ASSERT_TRUE(pm.Read(straddle, std::span<uint8_t>(buf)).ok());
+  for (uint8_t byte : buf) {
+    ASSERT_EQ(byte, 0);
+  }
+  EXPECT_FALSE(pm.Read(PhysAddr{kMachinePages * kPageSize - 32}, std::span<uint8_t>(buf)).ok());
+  EXPECT_FALSE(pm.ReadU8(PhysAddr{kMachinePages * kPageSize}).ok());
+}
+
+TEST(PhysMemoryTest, InstancesDoNotAlias) {
+  PhysicalMemory a{2};
+  PhysicalMemory b{2};
+  ASSERT_TRUE(a.Fill(PhysAddr{0}, 2 * kPageSize, 0x5a).ok());
+  for (uint64_t pfn = 0; pfn < 2; ++pfn) {
+    for (uint8_t byte : b.PageSpan(Pfn{pfn})) {
+      ASSERT_EQ(byte, 0);
+    }
+  }
+}
+
+TEST(PhysMemoryTest, CopyRoundTripsAcrossPages) {
+  PhysicalMemory pm{4};
+  std::vector<uint8_t> data(300);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const PhysAddr src{kPageSize - 100};
+  const PhysAddr dst{3 * kPageSize - 150};
+  ASSERT_TRUE(pm.Write(src, std::span<const uint8_t>(data)).ok());
+  ASSERT_TRUE(pm.Copy(dst, src, data.size()).ok());
+  std::vector<uint8_t> back(data.size());
+  ASSERT_TRUE(pm.Read(dst, std::span<uint8_t>(back)).ok());
+  EXPECT_EQ(back, data);
+  // Overlapping ranges copy as if through a temporary.
+  ASSERT_TRUE(pm.Copy(PhysAddr{dst.value + 10}, dst, data.size()).ok());
+  ASSERT_TRUE(pm.Read(PhysAddr{dst.value + 10}, std::span<uint8_t>(back)).ok());
+  EXPECT_EQ(back, data);
+}
+
+TEST(PhysMemoryTest, CopyOutOfRangeIsRejectedAndChangesNothing) {
+  PhysicalMemory pm{2};
+  ASSERT_TRUE(pm.Fill(PhysAddr{0}, kPageSize, 0x11).ok());
+  const uint64_t end = 2 * kPageSize;
+  // src runs past the end: dst must stay zero.
+  EXPECT_FALSE(pm.Copy(PhysAddr{kPageSize}, PhysAddr{end - 8}, 16).ok());
+  // dst runs past the end: the bytes that would fit must stay zero.
+  EXPECT_FALSE(pm.Copy(PhysAddr{end - 8}, PhysAddr{0}, 16).ok());
+  // An offset that wraps around 64 bits.
+  EXPECT_FALSE(pm.Copy(PhysAddr{UINT64_MAX - 4}, PhysAddr{0}, 16).ok());
+  for (uint8_t byte : pm.PageSpan(Pfn{1})) {
+    ASSERT_EQ(byte, 0);
+  }
+  for (uint8_t byte : pm.PageSpan(Pfn{0})) {
+    ASSERT_EQ(byte, 0x11);
+  }
+}
+
+TEST(PhysMemoryTest, CopyOfZeroBytesIsANoOp) {
+  PhysicalMemory pm{1};
+  ASSERT_TRUE(pm.WriteU8(PhysAddr{0}, 0x42).ok());
+  EXPECT_TRUE(pm.Copy(PhysAddr{8}, PhysAddr{0}, 0).ok());
+  EXPECT_EQ(*pm.ReadU8(PhysAddr{8}), 0);
+  EXPECT_EQ(*pm.ReadU8(PhysAddr{0}), 0x42);
+}
+
 TEST(PhysMemoryTest, ScalarRoundTrip) {
   PhysicalMemory pm{2};
   PhysAddr addr{0x123};

@@ -136,6 +136,32 @@ TEST(TraceRingTest, DropsAreAccountedPerOverwrittenSeverity) {
   EXPECT_EQ(ring.dropped(Severity::kCritical), 0u);
 }
 
+TEST(TraceRingTest, ClearOnPartlyFilledRingThenRefillPastCapacity) {
+  TraceRing ring{4};
+  ring.Push(MakeEvent(EventKind::kStaleIotlbHit, Severity::kCritical));
+  ring.Push(MakeEvent(EventKind::kDmaMap, Severity::kInfo));
+  ring.Clear();
+  // Refill: 4 critical records fill the ring, then 3 trace records overwrite
+  // the 3 oldest. Only records pushed after Clear may be seen or dropped.
+  for (uint64_t i = 0; i < 7; ++i) {
+    Event event = MakeEvent(EventKind::kCpuAccess, i < 4 ? Severity::kCritical : Severity::kTrace);
+    event.len = 100 + i;
+    EXPECT_TRUE(ring.Push(event));
+  }
+  EXPECT_EQ(ring.recorded(), 7u);
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.dropped(Severity::kCritical), 3u);
+  EXPECT_EQ(ring.dropped(Severity::kInfo), 0u);
+  EXPECT_EQ(ring.dropped(Severity::kTrace), 0u);
+  EXPECT_EQ(ring.dropped(), 3u);
+  const auto events = ring.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, 3 + i);  // oldest first
+    EXPECT_EQ(events[i].len, 103 + i);
+  }
+}
+
 // ---- Hub dispatch ---------------------------------------------------------------
 
 struct RecordingSink : EventSink {
