@@ -250,7 +250,7 @@ Status Machine::CheckInvariants() const {
     Result<PhysAddr> phys = layout_.DirectMapKvaToPhys(mapping.kva);
     if (!phys.ok()) {
       failure = Internal("invariant: tracked mapping KVA outside the direct map (site " +
-                         mapping.site + ")");
+                         std::string(mapping.site) + ")");
       return;
     }
     const Iova base = mapping.iova.PageBase();
@@ -259,7 +259,7 @@ Status Machine::CheckInvariants() const {
           iommu_->Peek(mapping.device, Iova{base.value + (i << kPageShift)});
       if (!pte.has_value() || pte->pfn.value != phys->pfn().value + i) {
         failure = Internal("invariant: tracked mapping does not translate (device " +
-                           std::to_string(mapping.device.value) + ", site " + mapping.site +
+                           std::to_string(mapping.device.value) + ", site " + std::string(mapping.site) +
                            ", page " + std::to_string(i) + ")");
         return;
       }

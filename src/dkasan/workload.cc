@@ -12,7 +12,7 @@ namespace {
 
 // Allocation sites and sizes mirroring Figure 3.
 struct SitePattern {
-  const char* site;
+  Site site;
   uint64_t size;
 };
 

@@ -41,7 +41,7 @@ Status BounceDma::Copy(Kva dst, Kva src, uint64_t len) {
 }
 
 Result<Iova> BounceDma::MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                                  std::string_view site) {
+                                  Site site) {
   (void)site;
   auto pool_it = pools_.find(device.value);
   if (pool_it == pools_.end()) {

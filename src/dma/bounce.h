@@ -38,7 +38,7 @@ class BounceDma : public DmaApi {
   Status AttachDevice(DeviceId device, uint64_t pages = 64);
 
   Result<Iova> MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                         std::string_view site = "bounce_map") override;
+                         Site site = "bounce_map") override;
   Status UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirection dir) override;
 
   uint64_t copies() const { return copies_; }

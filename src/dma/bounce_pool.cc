@@ -220,17 +220,17 @@ void BouncePool::PublishEvent(telemetry::EventKind kind, DeviceId device,
 }
 
 Result<Iova> BouncePool::Map(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                             std::string_view site) {
+                             Site site) {
   return MapInternal(device, kva, len, dir, site, /*persistent=*/false);
 }
 
 Result<Iova> BouncePool::MapPersistent(DeviceId device, Kva kva, uint64_t len,
-                                       DmaDirection dir, std::string_view site) {
+                                       DmaDirection dir, Site site) {
   return MapInternal(device, kva, len, dir, site, /*persistent=*/true);
 }
 
 Result<Iova> BouncePool::MapInternal(DeviceId device, Kva kva, uint64_t len,
-                                     DmaDirection dir, std::string_view site,
+                                     DmaDirection dir, Site site,
                                      bool persistent) {
   auto pool_it = pools_.find(device.value);
   if (pool_it == pools_.end()) {
@@ -266,7 +266,7 @@ Result<Iova> BouncePool::MapInternal(DeviceId device, Kva kva, uint64_t len,
   if (run < need) {
     return ResourceExhausted("bounce pool exhausted");
   }
-  Active active{first, need, kva, len, dir, std::string(site), persistent};
+  Active active{first, need, kva, len, dir, site, persistent};
   SPV_RETURN_IF_ERROR(Scrub(pool, active));
   if (dir == DmaDirection::kToDevice || dir == DmaDirection::kBidirectional) {
     SPV_RETURN_IF_ERROR(CopyIn(pool, active));
@@ -277,7 +277,7 @@ Result<Iova> BouncePool::MapInternal(DeviceId device, Kva kva, uint64_t len,
   const Iova slot_base = pool.base + first * kPageSize;
   const Iova iova = slot_base + kva.page_offset();
   const uint64_t spent = kCopyCyclesPerCacheLine * (AlignUp(len, 64) / 64);
-  pool.active[slot_base.value] = active;
+  pool.active_nodes.Put(pool.active, slot_base.value, active);
   PublishEvent(telemetry::EventKind::kBounceMap, device, active, iova, len, spent);
   return iova;
 }
@@ -304,7 +304,7 @@ Status BouncePool::Unmap(DeviceId device, Iova iova, uint64_t len, DmaDirection 
   for (size_t i = 0; i < active.num_slots; ++i) {
     pool.slots[active.first_slot + i].in_use = false;
   }
-  pool.active.erase(it);
+  (void)pool.active_nodes.Take(pool.active, it);
   PublishEvent(telemetry::EventKind::kBounceUnmap, device, active, iova, len,
                copy_cycles_ - before);
   return OkStatus();

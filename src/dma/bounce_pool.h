@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/node_recycler.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "dma/dma_api.h"
@@ -87,14 +88,14 @@ class BouncePool {
   // the slots. The syncs model persistent-mapping drivers: SyncForCpu
   // copies out without releasing, SyncForDevice re-scrubs and re-arms.
   Result<Iova> Map(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                   std::string_view site = "bounce_map");
+                   Site site = "bounce_map");
   Status Unmap(DeviceId device, Iova iova, uint64_t len, DmaDirection dir);
 
   // Persistent variant: same slot carving, but the run is flagged as a
   // long-lived ring/slot mapping the driver syncs instead of re-mapping.
   // Released with Unmap like any other bounce.
   Result<Iova> MapPersistent(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                             std::string_view site = "bounce_map_persistent");
+                             Site site = "bounce_map_persistent");
 
   // Partial-range syncs: `iova` may point anywhere inside a live bounce
   // (not just its first page) and `len` covers just the bytes handed over —
@@ -148,19 +149,20 @@ class BouncePool {
     Kva orig_kva;
     uint64_t len;
     DmaDirection dir;
-    std::string site;
+    std::string_view site;  // a Site's name: valid for the whole process
     bool persistent = false;
   };
   struct Pool {
     Iova base;  // slot 0's IOVA; slot i lives at base + i*kPageSize
     std::vector<Slot> slots;
     std::map<uint64_t, Active> active;  // first slot's IOVA value -> bounce
+    NodeRecycler<std::map<uint64_t, Active>> active_nodes;  // per-map reuse
     uint64_t syncs_for_cpu = 0;
     uint64_t syncs_for_device = 0;
   };
 
   Result<Iova> MapInternal(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                           std::string_view site, bool persistent);
+                           Site site, bool persistent);
   Status Copy(Kva dst, Kva src, uint64_t len);
   Kva SlotKva(const Pool& pool, size_t slot) const;
   // Walks the buffer's per-slot chunks: fn(slot_index, slot_offset,

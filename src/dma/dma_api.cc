@@ -1,6 +1,7 @@
 #include "dma/dma_api.h"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 
 #include "dma/bounce_pool.h"
@@ -53,7 +54,7 @@ DmaApi::DmaApi(iommu::Iommu& iommu, const mem::KernelLayout& layout, telemetry::
 void DmaApi::TrackMapping(const IovaKey& key, const DmaMapping& mapping) {
   std::lock_guard<MaybeMutex> guard(mu_);
   if (use_hash_index_) {
-    index_.InsertOrAssign(key.device, key.iova_page, mapping);
+    index_.InsertOrAssign(key, mapping);
   } else {
     by_iova_[key] = mapping;
   }
@@ -61,7 +62,7 @@ void DmaApi::TrackMapping(const IovaKey& key, const DmaMapping& mapping) {
 
 const DmaMapping* DmaApi::LookupMapping(const IovaKey& key) const {
   if (use_hash_index_) {
-    return index_.Find(key.device, key.iova_page);
+    return index_.Find(key);
   }
   auto it = by_iova_.find(key);
   return it == by_iova_.end() ? nullptr : &it->second;
@@ -70,7 +71,7 @@ const DmaMapping* DmaApi::LookupMapping(const IovaKey& key) const {
 void DmaApi::ForgetMapping(const IovaKey& key) {
   std::lock_guard<MaybeMutex> guard(mu_);
   if (use_hash_index_) {
-    index_.Erase(key.device, key.iova_page);
+    index_.Erase(key);
   } else {
     by_iova_.erase(key);
   }
@@ -85,7 +86,7 @@ telemetry::Hub& DmaApi::telemetry() {
 }
 
 Result<Iova> DmaApi::MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                               std::string_view site) {
+                               Site site) {
   trace::ScopedSpan span(tracer_, "dma.map_single");
   if (len == 0) {
     return InvalidArgument("dma_map_single with zero length");
@@ -106,18 +107,27 @@ Result<Iova> DmaApi::MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirect
     return InvalidArgument("dma_map_single of non-direct-map KVA");
   }
   // The mapping covers *every page the buffer touches*, not just the bytes.
+  // Buffers of up to kInlinePages pages list their PFNs on the stack.
+  constexpr uint64_t kInlinePages = 16;
   const uint64_t pages = (kva.page_offset() + len + kPageSize - 1) >> kPageShift;
-  std::vector<Pfn> pfns;
-  pfns.reserve(pages);
+  std::array<Pfn, kInlinePages> inline_pfns;
+  std::vector<Pfn> heap_pfns;
+  std::span<Pfn> pfns;
+  if (pages <= kInlinePages) {
+    pfns = std::span<Pfn>(inline_pfns).first(pages);
+  } else {
+    heap_pfns.resize(pages);
+    pfns = heap_pfns;
+  }
   for (uint64_t i = 0; i < pages; ++i) {
-    pfns.push_back(Pfn{phys->pfn().value + i});
+    pfns[i] = Pfn{phys->pfn().value + i};
   }
   Result<Iova> base = iommu_.MapRange(device, pfns, RightsFor(dir));
   if (!base.ok()) {
     return base.status();
   }
   const Iova iova = *base + kva.page_offset();
-  DmaMapping mapping{device, iova, kva, len, dir, std::string(site)};
+  DmaMapping mapping{device, iova, kva, len, dir, site};
   TrackMapping(IovaKey{device.value, base->value >> kPageShift}, mapping);
   if (recorder_ != nullptr) {
     recorder_->RecordMap(device, iova, kva, len, static_cast<uint8_t>(dir),
@@ -128,7 +138,7 @@ Result<Iova> DmaApi::MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirect
 }
 
 Result<Iova> DmaApi::MapPersistent(DeviceId device, Kva kva, uint64_t len,
-                                   DmaDirection dir, std::string_view site) {
+                                   DmaDirection dir, Site site) {
   // Bounce-routed devices get a *persistent* pool run: the driver keeps the
   // slot across many I/Os and moves bytes with the syncs, swiotlb-style.
   if (router_ != nullptr && bounce_pool_ != nullptr && router_->ShouldBounce(device)) {
@@ -192,7 +202,7 @@ Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirectio
   return OkStatus();
 }
 
-Result<uint64_t> DmaApi::RevokeDeviceMappings(DeviceId device, std::string_view site) {
+Result<uint64_t> DmaApi::RevokeDeviceMappings(DeviceId device, Site site) {
   trace::ScopedSpan span(tracer_, "dma.revoke_device");
   // Snapshot first: unmapping mutates the tracker under iteration otherwise.
   std::vector<DmaMapping> victims;
@@ -203,7 +213,7 @@ Result<uint64_t> DmaApi::RevokeDeviceMappings(DeviceId device, std::string_view 
   });
   uint64_t revoked = 0;
   for (DmaMapping mapping : victims) {
-    mapping.site = std::string(site);
+    mapping.site = site;
     SPV_RETURN_IF_ERROR(iommu_.UnmapRange(device, mapping.iova.PageBase(), mapping.pages()));
     ForgetMapping(IovaKey{device.value, mapping.iova.PageBase().value >> kPageShift});
     if (recorder_ != nullptr) {
@@ -248,7 +258,7 @@ Status DmaApi::SyncSingleForCpu(DeviceId device, Iova iova, uint64_t len, DmaDir
     event.site = "dma_sync_single_for_cpu";
     hub.Publish(std::move(event));
     if (hub.enabled()) {
-      hub.counter("dma.syncs").Add();
+      c_syncs_.Get(hub).Add();
     }
   }
   NotifyCpuAccess(mapping->kva, len, /*is_write=*/false);
@@ -273,7 +283,7 @@ Status DmaApi::SyncSingleForDevice(DeviceId device, Iova iova, uint64_t len,
 }
 
 Result<std::vector<Iova>> DmaApi::MapSg(DeviceId device, std::span<const SgEntry> entries,
-                                        DmaDirection dir, std::string_view site) {
+                                        DmaDirection dir, Site site) {
   trace::ScopedSpan span(tracer_, "dma.map_sg");
   std::vector<Iova> iovas;
   iovas.reserve(entries.size());
@@ -318,7 +328,7 @@ std::vector<DmaMapping> DmaApi::MappingsForPfn(Pfn pfn) const {
     }
   };
   if (use_hash_index_) {
-    index_.ForEach(collect);
+    index_.ForEach([&](const IovaKey&, const DmaMapping& mapping) { collect(mapping); });
     // The flat table iterates in probe order; sort to match the std::map
     // path so consumers see a deterministic result either way.
     std::sort(out.begin(), out.end(), [](const DmaMapping& a, const DmaMapping& b) {
@@ -337,7 +347,8 @@ void DmaApi::ForEachMapping(const std::function<void(const DmaMapping&)>& fn) co
   if (use_hash_index_) {
     // The flat table iterates in probe order; sort for a deterministic visit.
     std::vector<DmaMapping> all;
-    index_.ForEach([&](const DmaMapping& mapping) { all.push_back(mapping); });
+    index_.ForEach(
+        [&](const IovaKey&, const DmaMapping& mapping) { all.push_back(mapping); });
     std::sort(all.begin(), all.end(), [](const DmaMapping& a, const DmaMapping& b) {
       return std::tie(a.device.value, a.iova.value) < std::tie(b.device.value, b.iova.value);
     });
@@ -398,7 +409,7 @@ void DmaApi::NotifyCpuAccess(Kva kva, uint64_t len, bool is_write) {
   event.origin = this;
   hub.Publish(std::move(event));
   if (hub.enabled()) {
-    hub.counter("dma.cpu_accesses").Add();
+    c_cpu_accesses_.Get(hub).Add();
   }
 }
 
@@ -419,14 +430,14 @@ void DmaApi::Notify(const DmaMapping& mapping, bool map) {
   event.site = mapping.site;
   hub.Publish(std::move(event));
   if (hub.enabled()) {
-    hub.counter(map ? "dma.maps" : "dma.unmaps").Add();
+    (map ? c_maps_ : c_unmaps_).Get(hub).Add();
     // Per-device map/unmap accounting (Table-1 style breakdowns).
     std::string per_device = map ? "dma.maps.dev" : "dma.unmaps.dev";
     per_device += std::to_string(mapping.device.value);
     hub.counter(per_device).Add();
     if (map) {
-      hub.histogram("dma.map_bytes").Record(mapping.len);
-      hub.histogram("dma.exposed_bytes").Record(mapping.exposed_bytes());
+      h_map_bytes_.Get(hub).Record(mapping.len);
+      h_exposed_bytes_.Get(hub).Record(mapping.exposed_bytes());
     }
   }
 }

@@ -32,10 +32,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/flat_map.h"
 #include "base/maybe_mutex.h"
+#include "base/site.h"
 #include "base/status.h"
 #include "base/types.h"
-#include "dma/mapping_index.h"
 #include "dma/observer.h"
 #include "iommu/iommu.h"
 #include "mem/kernel_layout.h"
@@ -79,7 +80,7 @@ struct DmaMapping {
   Kva kva;         // buffer start
   uint64_t len;    // requested length, NOT the exposed length
   DmaDirection dir;
-  std::string site;
+  std::string_view site;  // a Site's name: valid for the whole process
 
   uint64_t pages() const { return ((kva.page_offset() + len + kPageSize - 1) >> kPageShift); }
   uint64_t exposed_bytes() const { return pages() << kPageShift; }
@@ -106,7 +107,7 @@ class DmaApi {
   // corresponding to `kva` (same sub-page offset). Virtual so alternative
   // backends (bounce buffers, §8 [47]) can replace the zero-copy path.
   virtual Result<Iova> MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                                 std::string_view site = "dma_map_single");
+                                 Site site = "dma_map_single");
 
   // dma_unmap_single: releases the mapping created for this IOVA.
   virtual Status UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirection dir);
@@ -118,7 +119,7 @@ class DmaApi {
   // forth with SyncSingleForCpu/SyncSingleForDevice (swiotlb-style), instead
   // of the transient map/copy/unmap cycle. Released with UnmapSingle.
   Result<Iova> MapPersistent(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                             std::string_view site = "dma_map_persistent");
+                             Site site = "dma_map_persistent");
 
   // The trust policy's service-mode verdict for `device` (kZeroCopy when no
   // policy is installed). Queue-protocol drivers poll this to pick their ring
@@ -139,12 +140,12 @@ class DmaApi {
   // `site`. Returns the number of mappings revoked. Safe on a fenced device
   // (OS-side unmaps are exempt from the fence).
   Result<uint64_t> RevokeDeviceMappings(DeviceId device,
-                                        std::string_view site = "dma_revoke_device");
+                                        Site site = "dma_revoke_device");
 
   // dma_map_sg / dma_unmap_sg: each entry mapped independently (we model the
   // common non-IOVA-merging path).
   Result<std::vector<Iova>> MapSg(DeviceId device, std::span<const SgEntry> entries,
-                                  DmaDirection dir, std::string_view site = "dma_map_sg");
+                                  DmaDirection dir, Site site = "dma_map_sg");
   Status UnmapSg(DeviceId device, std::span<const Iova> iovas,
                  std::span<const SgEntry> entries, DmaDirection dir);
 
@@ -211,8 +212,14 @@ class DmaApi {
   struct IovaKey {
     uint32_t device;
     uint64_t iova_page;
+    bool operator==(const IovaKey&) const = default;
     bool operator<(const IovaKey& other) const {
       return std::tie(device, iova_page) < std::tie(other.device, other.iova_page);
+    }
+  };
+  struct IovaKeyDigest {
+    uint64_t operator()(const IovaKey& k) const {
+      return k.iova_page ^ (uint64_t{k.device} << 40);
     }
   };
 
@@ -231,7 +238,7 @@ class DmaApi {
   // Guards the mapping tracker (index_ / by_iova_) when engaged; map/unmap
   // hold it only around tracker ops, never across IOMMU calls.
   mutable MaybeMutex mu_;
-  MappingIndex<DmaMapping> index_;          // fast path: open-addressed, O(1)
+  FlatMap<IovaKey, DmaMapping, IovaKeyDigest> index_{64};  // fast path: O(1)
   std::map<IovaKey, DmaMapping> by_iova_;   // slow path (hash_index_enabled=false)
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected
@@ -240,6 +247,13 @@ class DmaApi {
   DmaRouter* router_ = nullptr;       // trust policy's per-map verdict
   BouncePool* bounce_pool_ = nullptr; // where untrusted transfers divert
   std::vector<std::unique_ptr<DmaObserverSink>> observer_sinks_;
+  // Per-op hub metrics (telemetry::CachedMetric: resolved on first bump).
+  telemetry::CachedCounter c_maps_{"dma.maps"};
+  telemetry::CachedCounter c_unmaps_{"dma.unmaps"};
+  telemetry::CachedCounter c_syncs_{"dma.syncs"};
+  telemetry::CachedCounter c_cpu_accesses_{"dma.cpu_accesses"};
+  telemetry::CachedHistogram h_map_bytes_{"dma.map_bytes"};
+  telemetry::CachedHistogram h_exposed_bytes_{"dma.exposed_bytes"};
 };
 
 }  // namespace spv::dma

@@ -171,10 +171,10 @@ uint64_t Iommu::DrainDeviceInvalidations(DeviceId device) {
   uint64_t drained = 0;
   for (auto& shard_ptr : flush_shards_) {
     FlushShard& shard = *shard_ptr;
-    std::deque<PendingInvalidation> mine;
+    std::vector<PendingInvalidation> mine;
     {
       std::lock_guard<MaybeMutex> lock(shard.mu);
-      std::deque<PendingInvalidation> keep;
+      std::vector<PendingInvalidation> keep;
       for (PendingInvalidation& pending : shard.queue) {
         (pending.device.value == device.value ? mine : keep).push_back(pending);
       }
@@ -305,7 +305,7 @@ Result<Iova> Iommu::MapRange(DeviceId device, std::span<const Pfn> pfns, AccessR
   clock_.Advance(kMapPteCycles * pfns.size());
   stats_.maps += pfns.size();
   if (hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("iommu.maps").Add(pfns.size());
+    c_maps_.Get(*hub_).Add(pfns.size());
   }
   return *base;
 }
@@ -335,7 +335,7 @@ Status Iommu::UnmapRange(DeviceId device, Iova base, uint64_t pages) {
   }
   stats_.unmaps += pages;
   if (hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("iommu.unmaps").Add(pages);
+    c_unmaps_.Get(*hub_).Add(pages);
   }
 
   if (config_.mode == InvalidationMode::kStrict) {
@@ -366,8 +366,8 @@ Status Iommu::UnmapRange(DeviceId device, Iova base, uint64_t pages) {
         event.site = "unmap_strict";
         hub_->Publish(std::move(event));
         if (hub_->enabled()) {
-          hub_->counter("iommu.targeted_invalidations").Add();
-          hub_->counter("iommu.invalidation_cycles").Add(kIotlbInvalidationCycles);
+          c_targeted_invalidations_.Get(*hub_).Add();
+          c_invalidation_cycles_.Get(*hub_).Add(kIotlbInvalidationCycles);
         }
       }
     }
@@ -424,7 +424,7 @@ bool Iommu::device_fast_path(DeviceId device) const {
 
 void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
   FlushShard& shard = *flush_shards_[shard_index];
-  std::deque<PendingInvalidation> batch;
+  std::vector<PendingInvalidation> batch;
   {
     std::lock_guard<MaybeMutex> lock(shard.mu);
     if (shard.queue.empty()) {
@@ -439,18 +439,11 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
   const uint64_t amortized = batch.size();
   iotlb_.InvalidateAll();
   // A global IOTLB invalidation also drops the intermediate-structure
-  // caches, so the page-table walk caches start cold. Collect the domains
-  // under a brief shared lock, invalidate outside it.
+  // caches, so the page-table walk caches start cold. The shared lock is
+  // taken before each table's own lock, the documented order.
   {
-    std::vector<std::shared_ptr<Domain>> domains;
-    {
-      std::shared_lock<MaybeSharedMutex> lock(state_mu_);
-      domains.reserve(device_domain_.size());
-      for (auto& [id, domain] : device_domain_) {
-        domains.push_back(domain);
-      }
-    }
-    for (auto& domain : domains) {
+    std::shared_lock<MaybeSharedMutex> lock(state_mu_);
+    for (auto& [id, domain] : device_domain_) {
       domain->table.InvalidateWalkCache();
     }
   }
@@ -483,12 +476,14 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
     event.site = std::string("flush_now:") + std::string(FlushReasonName(reason));
     hub_->Publish(std::move(event));
     if (hub_->enabled()) {
-      hub_->counter("iommu.flushes").Add();
-      hub_->counter(std::string("iommu.flush_drain.") +
-                    std::string(FlushReasonName(reason)))
-          .Add();
-      hub_->counter("iommu.invalidation_cycles").Add(kIotlbInvalidationCycles);
-      hub_->histogram("iommu.flush_batch").Record(amortized);
+      c_flushes_.Get(*hub_).Add();
+      telemetry::CachedCounter& by_reason =
+          reason == FlushReason::kManual     ? c_flush_drain_manual_
+          : reason == FlushReason::kCapacity ? c_flush_drain_capacity_
+                                             : c_flush_drain_deadline_;
+      by_reason.Get(*hub_).Add();
+      c_invalidation_cycles_.Get(*hub_).Add(kIotlbInvalidationCycles);
+      h_flush_batch_.Get(*hub_).Record(amortized);
     }
   }
   for (const PendingInvalidation& pending : batch) {
@@ -501,6 +496,13 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
     if (ref.domain != nullptr) {
       (void)ref.domain->iova_alloc.Free(pending.base, pending.pages, pending.cpu);
     }
+  }
+  // Hand the drained buffer back so the next batch reuses its capacity
+  // (unless unmaps on another thread already refilled the queue).
+  batch.clear();
+  std::lock_guard<MaybeMutex> lock(shard.mu);
+  if (shard.queue.empty() && shard.queue.capacity() < batch.capacity()) {
+    shard.queue.swap(batch);
   }
 }
 
@@ -546,7 +548,7 @@ Status Iommu::Access(DeviceId device, Iova iova, AccessOp op, std::span<uint8_t>
   }
   ++stats_.device_accesses;
   if (hub_ != nullptr && hub_->enabled()) {
-    hub_->counter("iommu.device_accesses").Add();
+    c_device_accesses_.Get(*hub_).Add();
   }
 
   if (!config_.enabled) {

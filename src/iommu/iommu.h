@@ -16,7 +16,6 @@
 #define SPV_IOMMU_IOMMU_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -317,9 +316,11 @@ class Iommu {
   // legacy global queue); kThreads mode has one per CPU, so unmap-heavy
   // workloads never serialize on a global invalidation queue. Each shard
   // carries its own deadline, armed when the first entry lands.
+  // The queue is a vector whose buffer DrainShard hands back after each
+  // drain, so a steady unmap/drain cycle reuses one allocation.
   struct FlushShard {
     mutable MaybeMutex mu;
-    std::deque<PendingInvalidation> queue;
+    std::vector<PendingInvalidation> queue;
     uint64_t deadline = 0;  // valid when queue nonempty
   };
 
@@ -372,6 +373,17 @@ class Iommu {
   mutable MaybeMutex faults_mu_;
   std::vector<IommuFault> faults_;
   telemetry::Hub* hub_ = nullptr;
+  // Per-op hub metrics (telemetry::CachedMetric: resolved on first bump).
+  telemetry::CachedCounter c_maps_{"iommu.maps"};
+  telemetry::CachedCounter c_unmaps_{"iommu.unmaps"};
+  telemetry::CachedCounter c_device_accesses_{"iommu.device_accesses"};
+  telemetry::CachedCounter c_targeted_invalidations_{"iommu.targeted_invalidations"};
+  telemetry::CachedCounter c_invalidation_cycles_{"iommu.invalidation_cycles"};
+  telemetry::CachedCounter c_flushes_{"iommu.flushes"};
+  telemetry::CachedCounter c_flush_drain_manual_{"iommu.flush_drain.manual"};
+  telemetry::CachedCounter c_flush_drain_capacity_{"iommu.flush_drain.capacity"};
+  telemetry::CachedCounter c_flush_drain_deadline_{"iommu.flush_drain.deadline"};
+  telemetry::CachedHistogram h_flush_batch_{"iommu.flush_batch"};
   fault::FaultEngine* fault_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   forensics::FlightRecorder* recorder_ = nullptr;

@@ -4,6 +4,8 @@
 
 namespace spv::iommu {
 
+Iotlb::Iotlb(size_t capacity) : entries_(capacity), index_(capacity) {}
+
 void Iotlb::set_telemetry(telemetry::Hub* hub) {
   hub_ = hub;
   if (hub_ == nullptr) {
@@ -19,9 +21,8 @@ void Iotlb::set_telemetry(telemetry::Hub* hub) {
 
 std::optional<PteEntry> Iotlb::Lookup(DeviceId device, Iova iova_page) {
   std::lock_guard<MaybeMutex> guard(mu_);
-  const Key key{device.value, iova_page.PageBase().value};
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+  const uint32_t* slot = index_.Find(Key{device.value, iova_page.PageBase().value});
+  if (slot == nullptr) {
     ++misses_;
     if (hub_ != nullptr && hub_->enabled()) {
       c_misses_->Add();
@@ -32,29 +33,39 @@ std::optional<PteEntry> Iotlb::Lookup(DeviceId device, Iova iova_page) {
   if (hub_ != nullptr && hub_->enabled()) {
     c_hits_->Add();
   }
-  Touch(key, it->second);
-  return it->second.entry;
+  Unlink(*slot);
+  PushFront(*slot);
+  return entries_[*slot].pte;
 }
 
 void Iotlb::Insert(DeviceId device, Iova iova_page, PteEntry entry) {
   std::lock_guard<MaybeMutex> guard(mu_);
-  const Key key{device.value, iova_page.PageBase().value};
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second.entry = entry;
-    Touch(key, it->second);
+  if (entries_.empty()) {
     return;
   }
-  if (map_.size() >= capacity_) {
-    const Key victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
+  const Key key{device.value, iova_page.PageBase().value};
+  if (uint32_t* slot = index_.Find(key); slot != nullptr) {
+    entries_[*slot].pte = entry;
+    Unlink(*slot);
+    PushFront(*slot);
+    return;
+  }
+  if (free_ == kNil && unused_ == entries_.size()) {
+    Release(tail_);
     if (hub_ != nullptr && hub_->enabled()) {
       c_evictions_->Add();
     }
   }
-  lru_.push_front(key);
-  map_.emplace(key, Slot{entry, lru_.begin()});
+  uint32_t slot = free_;
+  if (slot != kNil) {
+    free_ = entries_[slot].next;
+  } else {
+    slot = unused_++;
+  }
+  entries_[slot].key = key;
+  entries_[slot].pte = entry;
+  PushFront(slot);
+  index_.InsertOrAssign(key, slot);
   if (hub_ != nullptr && hub_->enabled()) {
     c_inserts_->Add();
   }
@@ -62,11 +73,9 @@ void Iotlb::Insert(DeviceId device, Iova iova_page, PteEntry entry) {
 
 void Iotlb::InvalidatePage(DeviceId device, Iova iova_page) {
   std::lock_guard<MaybeMutex> guard(mu_);
-  const Key key{device.value, iova_page.PageBase().value};
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    lru_.erase(it->second.lru_it);
-    map_.erase(it);
+  if (const uint32_t* slot = index_.Find(Key{device.value, iova_page.PageBase().value});
+      slot != nullptr) {
+    Release(*slot);
   }
   ++invalidations_;
   if (hub_ != nullptr && hub_->enabled()) {
@@ -76,13 +85,12 @@ void Iotlb::InvalidatePage(DeviceId device, Iova iova_page) {
 
 void Iotlb::InvalidateDevice(DeviceId device) {
   std::lock_guard<MaybeMutex> guard(mu_);
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.device == device.value) {
-      lru_.erase(it->second.lru_it);
-      it = map_.erase(it);
-    } else {
-      ++it;
+  for (uint32_t slot = head_; slot != kNil;) {
+    const uint32_t next = entries_[slot].next;
+    if (entries_[slot].key.device == device.value) {
+      Release(slot);
     }
+    slot = next;
   }
   ++invalidations_;
   if (hub_ != nullptr && hub_->enabled()) {
@@ -92,18 +100,34 @@ void Iotlb::InvalidateDevice(DeviceId device) {
 
 void Iotlb::InvalidateAll() {
   std::lock_guard<MaybeMutex> guard(mu_);
-  map_.clear();
-  lru_.clear();
+  index_.Clear();
+  head_ = tail_ = free_ = kNil;
+  unused_ = 0;
   ++invalidations_;
   if (hub_ != nullptr && hub_->enabled()) {
     c_invalidations_->Add();
   }
 }
 
-void Iotlb::Touch(const Key& key, Slot& slot) {
-  lru_.erase(slot.lru_it);
-  lru_.push_front(key);
-  slot.lru_it = lru_.begin();
+void Iotlb::Unlink(uint32_t slot) {
+  Entry& e = entries_[slot];
+  (e.prev == kNil ? head_ : entries_[e.prev].next) = e.next;
+  (e.next == kNil ? tail_ : entries_[e.next].prev) = e.prev;
+}
+
+void Iotlb::PushFront(uint32_t slot) {
+  Entry& e = entries_[slot];
+  e.prev = kNil;
+  e.next = head_;
+  (head_ == kNil ? tail_ : entries_[head_].prev) = slot;
+  head_ = slot;
+}
+
+void Iotlb::Release(uint32_t slot) {
+  Unlink(slot);
+  index_.Erase(entries_[slot].key);
+  entries_[slot].next = free_;
+  free_ = slot;
 }
 
 }  // namespace spv::iommu

@@ -71,7 +71,7 @@ Result<Iova> IovaAllocator::Alloc(uint64_t pages, CpuId cpu) {
       c_hits_->Add();
     }
     std::lock_guard<MaybeMutex> guard(mu_);
-    live_.emplace(base_page, effective);
+    live_.TryEmplace(base_page, effective);
   } else {
     if (fast_path_.rcache_enabled && !cache_bypass_ && size_class >= 0) {
       ++stats_.rcache_misses;
@@ -85,7 +85,7 @@ Result<Iova> IovaAllocator::Alloc(uint64_t pages, CpuId cpu) {
       return range.status();
     }
     base_page = *range;
-    live_.emplace(base_page, effective);
+    live_.TryEmplace(base_page, effective);
   }
   allocated_pages_ += effective;
   return Iova{base_page << kPageShift};
@@ -102,14 +102,14 @@ Status IovaAllocator::Free(Iova base, uint64_t pages, CpuId cpu) {
   const uint64_t effective = EffectivePages(pages);
   {
     std::lock_guard<MaybeMutex> guard(mu_);
-    auto it = live_.find(base_page);
-    if (it == live_.end()) {
+    const uint64_t* live_pages = live_.Find(base_page);
+    if (live_pages == nullptr) {
       return FailedPrecondition("IOVA double free");
     }
-    if (it->second != effective) {
+    if (*live_pages != effective) {
       return InvalidArgument("IOVA free with mismatched page count");
     }
-    live_.erase(it);
+    live_.Erase(base_page);
   }
   assert(allocated_pages_.load() >= effective);
   allocated_pages_ -= effective;
@@ -152,7 +152,7 @@ Status IovaAllocator::AuditCaches() const {
       if (!seen.insert(base_page).second) {
         return Internal("IOVA range cached twice: page " + std::to_string(base_page));
       }
-      if (live_.contains(base_page)) {
+      if (live_.Contains(base_page)) {
         return Internal("IOVA range both cached and live: page " +
                         std::to_string(base_page));
       }
@@ -186,9 +186,10 @@ bool IovaAllocator::MagazinePop(int size_class, CpuId cpu, uint64_t* base_page) 
       if (cache.depot.empty()) {
         return false;
       }
-      // The empty loaded magazine is recycled as the next depot slot's
-      // backing storage by the swap (its reserved capacity is kept).
+      // The empty loaded magazine keeps its reserved capacity for the next
+      // spill.
       std::swap(cpu_cache.loaded, cache.depot.back());
+      cache.spares.push_back(std::move(cache.depot.back()));
       cache.depot.pop_back();
       ++stats_.depot_refills;
       if (hub_ != nullptr && hub_->enabled()) {
@@ -211,8 +212,13 @@ void IovaAllocator::MagazinePush(int size_class, CpuId cpu, uint64_t base_page) 
       std::lock_guard<MaybeMutex> guard(mu_);
       if (cache.depot.size() < fast_path_.depot_capacity) {
         cache.depot.push_back(std::move(cpu_cache.loaded));
-        cpu_cache.loaded = Magazine{};
-        cpu_cache.loaded.reserve(fast_path_.magazine_capacity);
+        if (cache.spares.empty()) {
+          cpu_cache.loaded = Magazine{};
+          cpu_cache.loaded.reserve(fast_path_.magazine_capacity);
+        } else {
+          cpu_cache.loaded = std::move(cache.spares.back());
+          cache.spares.pop_back();
+        }
         ++stats_.depot_spills;
         if (hub_ != nullptr && hub_->enabled()) {
           c_depot_spills_->Add();

@@ -23,9 +23,9 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "base/flat_map.h"
 #include "base/maybe_mutex.h"
 #include "base/stat_counter.h"
 #include "base/status.h"
@@ -111,9 +111,7 @@ class IovaAllocator {
     std::lock_guard<MaybeMutex> guard(mu_);
     std::vector<LiveRange> out;
     out.reserve(live_.size());
-    for (const auto& [base, pages] : live_) {
-      out.push_back(LiveRange{base, pages});
-    }
+    live_.ForEach([&](uint64_t base, uint64_t pages) { out.push_back(LiveRange{base, pages}); });
     std::sort(out.begin(), out.end(), [](const LiveRange& a, const LiveRange& b) {
       return a.base_page < b.base_page;
     });
@@ -134,6 +132,9 @@ class IovaAllocator {
   struct SizeClassCache {
     std::vector<CpuCache> cpus;
     std::vector<Magazine> depot;  // full magazines
+    // Emptied magazines a depot refill displaced, reused by the next spill
+    // instead of allocating a fresh one.
+    std::vector<Magazine> spares;
   };
 
   // Size class for a cacheable request, or -1 when it must bypass the cache.
@@ -167,7 +168,7 @@ class IovaAllocator {
 
   // Live ranges (base page -> rounded page count): the invariant the type (c)
   // substrate rests on. Consulted O(1) on every alloc/free.
-  std::unordered_map<uint64_t, uint64_t> live_;
+  FlatMap<uint64_t, uint64_t> live_;
 
   StatCounter allocated_pages_;
   Stats stats_;

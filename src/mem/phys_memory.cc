@@ -129,4 +129,9 @@ std::span<const uint8_t> PhysicalMemory::PageSpan(Pfn pfn) const {
   return std::span<const uint8_t>(bytes_ + (pfn.value << kPageShift), kPageSize);
 }
 
+std::span<uint8_t> PhysicalMemory::Span(PhysAddr addr, uint64_t len) {
+  assert(Contains(addr, len));
+  return std::span<uint8_t>(bytes_ + addr.value, len);
+}
+
 }  // namespace spv::mem

@@ -66,6 +66,10 @@ class PhysicalMemory {
   // Direct page views for fast in-simulator parsing. Bounds are asserted.
   std::span<uint8_t> PageSpan(Pfn pfn);
   std::span<const uint8_t> PageSpan(Pfn pfn) const;
+  // A view of [addr, addr+len), which may cross pages, for a backing store
+  // that DMA moves bytes in and out of in place. Bounds are asserted; the
+  // caller validates them first.
+  std::span<uint8_t> Span(PhysAddr addr, uint64_t len);
 
  private:
   uint64_t num_pages_;

@@ -14,7 +14,7 @@ Result<SkBuffPtr> GroEngine::Receive(SkBuffPtr skb) {
   auto it = held_.find(key);
   if (it == held_.end()) {
     // First segment of the flow becomes the head.
-    held_.emplace(key, std::move(skb));
+    held_nodes_.Put(held_, key, std::move(skb));
     return SkBuffPtr{};
   }
   SkBuff& head = *it->second;
@@ -60,12 +60,15 @@ Status GroEngine::MergeIntoHead(SkBuff& head, SkBuffPtr segment) {
 
 std::vector<SkBuffPtr> GroEngine::FlushAll() {
   std::vector<SkBuffPtr> out;
-  out.reserve(held_.size());
-  for (auto& [key, skb] : held_) {
-    out.push_back(std::move(skb));
-  }
-  held_.clear();
+  FlushInto(out);
   return out;
+}
+
+void GroEngine::FlushInto(std::vector<SkBuffPtr>& out) {
+  out.reserve(out.size() + held_.size());
+  while (!held_.empty()) {
+    out.push_back(held_nodes_.Take(held_, held_.begin()));
+  }
 }
 
 }  // namespace spv::net

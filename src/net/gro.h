@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "base/node_recycler.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "dma/kernel_memory.h"
@@ -44,6 +45,8 @@ class GroEngine {
 
   // End of NAPI poll: releases all held flows.
   std::vector<SkBuffPtr> FlushAll();
+  // FlushAll appending to `out`, so a caller can reuse one buffer per poll.
+  void FlushInto(std::vector<SkBuffPtr>& out);
 
   uint64_t merged_segments() const { return merged_segments_; }
   size_t held_flows() const { return held_.size(); }
@@ -54,6 +57,7 @@ class GroEngine {
   dma::KernelMemory& kmem_;
   SkbAllocator& skb_alloc_;
   std::map<FlowKey, SkBuffPtr> held_;
+  NodeRecycler<std::map<FlowKey, SkBuffPtr>> held_nodes_;  // per-burst reuse
   uint64_t merged_segments_ = 0;
 };
 

@@ -9,9 +9,10 @@
 #define SPV_NET_NIC_DEVICE_MODEL_H_
 
 #include <cstdint>
-#include <vector>
 
+#include "base/inline_vector.h"
 #include "base/types.h"
+#include "net/layouts.h"
 
 namespace spv::net {
 
@@ -27,8 +28,9 @@ struct TxPostedDescriptor {
   uint32_t index = 0;
   Iova linear_iova;
   uint32_t linear_len = 0;
-  std::vector<Iova> frag_iovas;
-  std::vector<uint32_t> frag_lens;
+  // One entry per mapped frag, inline (an skb has at most kMaxSkbFrags).
+  InlineVector<Iova, kMaxSkbFrags> frag_iovas;
+  InlineVector<uint32_t, kMaxSkbFrags> frag_lens;
 };
 
 class NicDeviceModel {

@@ -1,6 +1,7 @@
 #include "net/nic_driver.h"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "dma/bounce_pool.h"
 #include "fault/fault.h"
@@ -10,10 +11,11 @@ namespace spv::net {
 namespace {
 
 // One helper for every driver emit point: packet milestones share the shape
-// (device + length + site), only kind/severity vary.
+// (device + length + site), only kind/severity vary. The site is the
+// concatenation of `site_parts`, built only when someone listens.
 void EmitNicEvent(telemetry::Hub& hub, telemetry::EventKind kind,
                   telemetry::Severity severity, DeviceId device, uint64_t len,
-                  const void* origin, std::string site) {
+                  const void* origin, std::initializer_list<std::string_view> site_parts) {
   if (!hub.active()) {
     return;
   }
@@ -23,7 +25,9 @@ void EmitNicEvent(telemetry::Hub& hub, telemetry::EventKind kind,
   event.device = device.value;
   event.len = len;
   event.origin = origin;
-  event.site = std::move(site);
+  for (std::string_view part : site_parts) {
+    event.site += part;
+  }
   hub.Publish(std::move(event));
 }
 
@@ -49,6 +53,11 @@ NicDriver::NicDriver(DeviceId device_id, dma::DmaApi& dma, dma::KernelMemory& km
     // Queue 0 keeps the bare device name so its telemetry sites and fault
     // attribution are byte-identical to the historical single-queue driver.
     queue.name = q == 0 ? config_.name : config_.name + ".q" + std::to_string(q);
+    queue.site_alloc_rx_buf = Site::Intern(queue.name + "_alloc_rx_buf");
+    queue.site_map_rx = Site::Intern(queue.name + "_map_rx");
+    queue.site_sync_copybreak = Site::Intern(queue.name + "_sync_copybreak");
+    queue.site_xmit_linear = Site::Intern(queue.name + "_xmit_linear");
+    queue.site_xmit_frag = Site::Intern(queue.name + "_xmit_frag");
     queue.rx_ring.resize(config_.rx_ring_size);
     queue.tx_ring.resize(config_.tx_ring_size);
   }
@@ -69,7 +78,7 @@ bool NicDriver::PollDeadlineHit(Queue& q, uint64_t start_cycle, std::string_view
   ++q.poll_deadline_hits;
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicPollDeadline,
                telemetry::Severity::kWarn, device_id_, clock_.now() - start_cycle,
-               this, q.name + "_" + std::string(loop));
+               this, {q.name, "_", loop});
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nic.poll_deadline_exceeded").Add();
   }
@@ -131,7 +140,7 @@ Status NicDriver::RefillSlot(Queue& q, uint32_t queue, uint32_t index) {
     return FailedPrecondition("no page_frag pool for driver cpu");
   }
   Result<Kva> head =
-      pool->Alloc(rx_buffer_bytes(), kSmpCacheBytes, q.name + "_alloc_rx_buf");
+      pool->Alloc(rx_buffer_bytes(), kSmpCacheBytes, q.site_alloc_rx_buf);
   if (!head.ok()) {
     return head.status();
   }
@@ -154,9 +163,9 @@ Status NicDriver::RefillSlot(Queue& q, uint32_t queue, uint32_t index) {
   // trusted devices get the byte-identical MapSingle path.
   Result<Iova> iova =
       want_sync ? dma_.MapPersistent(device_id_, *head, rx_buffer_bytes(),
-                                     rx_dir, q.name + "_map_rx")
+                                     rx_dir, q.site_map_rx)
                 : dma_.MapSingle(device_id_, *head, rx_buffer_bytes(), rx_dir,
-                                 q.name + "_map_rx");
+                                 q.site_map_rx);
   if (!iova.ok()) {
     (void)pool->Free(*head);
     return iova.status();
@@ -225,7 +234,7 @@ uint32_t NicDriver::RetryRefills(uint32_t queue) {
   if (refilled > 0) {
     EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kFaultRecovered,
                  telemetry::Severity::kInfo, device_id_, refilled, this,
-                 q.name + "_rx_refill_retry");
+                 {q.name, "_rx_refill_retry"});
     if (dma_.telemetry().enabled()) {
       dma_.telemetry().counter("fault.recovered.rx_refill_retry").Add();
     }
@@ -248,7 +257,7 @@ Result<SkBuffPtr> NicDriver::DropRxFrame(uint32_t queue, uint32_t index, uint32_
   q.rx_ring[index].posted = false;
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRxError,
                telemetry::Severity::kWarn, device_id_, pkt_len, this,
-               q.name + "_rx_error");
+               {q.name, "_rx_error"});
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter(std::string(counter)).Add();
   }
@@ -392,7 +401,7 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
         ++q.xdp_drops;
         EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kXdpDrop,
                      telemetry::Severity::kInfo, device_id_, pkt_len, this,
-                     q.name + "_xdp_drop");
+                     {q.name, "_xdp_drop"});
         if (dma_.telemetry().enabled()) {
           dma_.telemetry().counter("nic.xdp_drops").Add();
         }
@@ -418,7 +427,7 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
       ++q.xdp_tx;
       EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kXdpTx,
                    telemetry::Severity::kInfo, device_id_, pkt_len, this,
-                   q.name + "_xdp_tx");
+                   {q.name, "_xdp_tx"});
       if (dma_.telemetry().enabled()) {
         dma_.telemetry().counter("nic.xdp_tx").Add();
       }
@@ -453,7 +462,7 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
       }
     };
     Result<Kva> copy = pool->Alloc(rx_buffer_bytes(), kSmpCacheBytes,
-                                   q.name + "_sync_copybreak");
+                                   q.site_sync_copybreak);
     if (!copy.ok()) {
       // No memory for the copy: drop the frame but keep the ring armed.
       rearm();
@@ -485,9 +494,9 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
     ++q.rx_sync_frames;
     EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRx,
                  telemetry::Severity::kInfo, device_id_, pkt_len, this,
-                 q.name + "_rx_sync");
+                 {q.name, "_rx_sync"});
     if (dma_.telemetry().enabled()) {
-      dma_.telemetry().counter("nic.rx_packets").Add();
+      c_rx_packets_.Get(dma_.telemetry()).Add();
       dma_.telemetry().counter("nic.rx_sync_frames").Add();
     }
     return built;
@@ -530,9 +539,9 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
   ++q.rx_packets;
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRx,
                telemetry::Severity::kInfo, device_id_, pkt_len, this,
-               q.name + "_rx");
+               {q.name, "_rx"});
   if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nic.rx_packets").Add();
+    c_rx_packets_.Get(dma_.telemetry()).Add();
   }
   // Linux refills opportunistically; we refill immediately to keep the ring
   // full (this is what makes consecutive ring buffers page-neighbours). A
@@ -576,7 +585,7 @@ Result<uint32_t> NicDriver::TryPostTx(uint32_t queue, SkBuffPtr& skb) {
 
   Result<Iova> linear = dma_.MapSingle(device_id_, skb->data, slot.linear_len,
                                        dma::DmaDirection::kToDevice,
-                                       q.name + "_xmit_linear");
+                                       q.site_xmit_linear);
   if (!linear.ok()) {
     slot = TxSlot{};
     return linear.status();
@@ -610,7 +619,7 @@ Result<uint32_t> NicDriver::TryPostTx(uint32_t queue, SkBuffPtr& skb) {
         kmem_.layout().PhysToDirectMapKva(PhysAddr::FromPfn(*pfn, frag->page_offset));
     Result<Iova> frag_iova = dma_.MapSingle(device_id_, frag_kva, frag->size,
                                             dma::DmaDirection::kToDevice,
-                                            q.name + "_xmit_frag");
+                                            q.site_xmit_frag);
     if (!frag_iova.ok()) {
       return fail(frag_iova.status());
     }
@@ -630,9 +639,9 @@ Result<uint32_t> NicDriver::TryPostTx(uint32_t queue, SkBuffPtr& skb) {
   ++q.tx_packets;
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicTx,
                telemetry::Severity::kInfo, device_id_, slot.linear_len, this,
-               q.name + "_tx");
+               {q.name, "_tx"});
   if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nic.tx_packets").Add();
+    c_tx_packets_.Get(dma_.telemetry()).Add();
   }
   if (device_ != nullptr) {
     device_->OnTxPosted(descriptor);
@@ -709,7 +718,7 @@ uint32_t NicDriver::CheckTxTimeout(uint32_t queue) {
     ++q.tx_resets;
     EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicTxReset,
                  telemetry::Severity::kWarn, device_id_, timed_out, this,
-                 q.name + "_tx_timeout_reset");
+                 {q.name, "_tx_timeout_reset"});
     if (dma_.telemetry().enabled()) {
       dma_.telemetry().counter("nic.tx_resets").Add();
       dma_.telemetry().counter("nic.ring_reset").Add();
@@ -741,7 +750,7 @@ uint32_t NicDriver::RequeueTimedOut(uint32_t queue) {
       ++reposted;
       EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kFaultRecovered,
                    telemetry::Severity::kInfo, device_id_, *index, this,
-                   q.name + "_tx_requeue");
+                   {q.name, "_tx_requeue"});
       if (dma_.telemetry().enabled()) {
         dma_.telemetry().counter("fault.recovered.tx_requeue").Add();
       }

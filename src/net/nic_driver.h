@@ -30,6 +30,8 @@
 #include <vector>
 
 #include "base/clock.h"
+#include "base/inline_vector.h"
+#include "base/site.h"
 #include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -263,7 +265,7 @@ class NicDriver : public recovery::SupervisedDriver {
     SkBuffPtr skb;
     Iova linear_iova;
     uint32_t linear_len = 0;
-    std::vector<TxFragMapping> frags;
+    InlineVector<TxFragMapping, kMaxSkbFrags> frags;
     uint64_t post_cycle = 0;
   };
 
@@ -285,6 +287,13 @@ class NicDriver : public recovery::SupervisedDriver {
 
     CpuId cpu{0};
     std::string name;  // "nic0" for queue 0, "nic0.q1", "nic0.q2", ...
+    // Record sites ("nic0.q1_map_rx", ...), interned once at construction
+    // so the per-packet path composes no strings.
+    Site site_alloc_rx_buf;
+    Site site_map_rx;
+    Site site_sync_copybreak;
+    Site site_xmit_linear;
+    Site site_xmit_frag;
     std::vector<RxSlot> rx_ring;
     std::vector<TxSlot> tx_ring;
     std::deque<PendingTx> tx_requeue;  // watchdog-flushed skbs awaiting repost
@@ -366,6 +375,8 @@ class NicDriver : public recovery::SupervisedDriver {
   XdpProgram* xdp_program_ = nullptr;
   fault::FaultEngine* fault_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
+  telemetry::CachedCounter c_rx_packets_{"nic.rx_packets"};
+  telemetry::CachedCounter c_tx_packets_{"nic.tx_packets"};
 };
 
 }  // namespace spv::net

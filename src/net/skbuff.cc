@@ -14,7 +14,7 @@ slab::PageFragPool* SkbAllocator::frag_pool(CpuId cpu) {
   return it == frag_pools_.end() ? nullptr : it->second;
 }
 
-Result<SkBuffPtr> SkbAllocator::NetdevAllocSkb(CpuId cpu, uint32_t len, std::string_view site) {
+Result<SkBuffPtr> SkbAllocator::NetdevAllocSkb(CpuId cpu, uint32_t len, Site site) {
   slab::PageFragPool* pool = frag_pool(cpu);
   if (pool == nullptr) {
     return FailedPrecondition("no page_frag pool registered for cpu");
@@ -43,7 +43,7 @@ void SkbAllocator::set_damn_pool(slab::PageFragPool* pool) {
   }
 }
 
-Result<SkBuffPtr> SkbAllocator::AllocSkb(uint32_t len, std::string_view site) {
+Result<SkBuffPtr> SkbAllocator::AllocSkb(uint32_t len, Site site) {
   const uint64_t truesize = TruesizeFor(len);
   Result<Kva> head = InvalidArgument("unset");
   OwnedBuffer ownership;

@@ -91,10 +91,10 @@ class SkbAllocator {
 
   // netdev_alloc_skb: page_frag-backed data buffer with NET_SKB_PAD headroom
   // and skb_shared_info at the tail.
-  Result<SkBuffPtr> NetdevAllocSkb(CpuId cpu, uint32_t len, std::string_view site);
+  Result<SkBuffPtr> NetdevAllocSkb(CpuId cpu, uint32_t len, Site site);
 
   // __alloc_skb: kmalloc-backed (TCP TX path).
-  Result<SkBuffPtr> AllocSkb(uint32_t len, std::string_view site);
+  Result<SkBuffPtr> AllocSkb(uint32_t len, Site site);
 
   // build_skb: wrap an existing `frag_size`-byte buffer at `head`; places and
   // initializes skb_shared_info inside it. Ownership of the buffer is

@@ -13,7 +13,7 @@ constexpr uint64_t kSkNetOffset = 8;  // sk->sk_net position within the object
 
 // Stack milestones share one shape: a kind + packet length + free-form site.
 void EmitStackEvent(telemetry::Hub& hub, telemetry::EventKind kind, uint64_t len,
-                    const void* origin, std::string site) {
+                    const void* origin, std::string_view site) {
   if (!hub.active()) {
     return;
   }
@@ -22,7 +22,7 @@ void EmitStackEvent(telemetry::Hub& hub, telemetry::EventKind kind, uint64_t len
   event.severity = telemetry::Severity::kInfo;
   event.len = len;
   event.origin = origin;
-  event.site = std::move(site);
+  event.site = std::string(site);
   hub.Publish(std::move(event));
 }
 
@@ -67,9 +67,13 @@ Status NetworkStack::NapiGroReceive(SkBuffPtr skb) {
 }
 
 Status NetworkStack::NapiComplete() {
-  for (SkBuffPtr& skb : gro_.FlushAll()) {
+  std::vector<SkBuffPtr> batch = std::move(napi_batch_);
+  gro_.FlushInto(batch);
+  for (SkBuffPtr& skb : batch) {
     SPV_RETURN_IF_ERROR(Deliver(std::move(skb)));
   }
+  batch.clear();
+  napi_batch_ = std::move(batch);
   return OkStatus();
 }
 
@@ -123,8 +127,8 @@ Status NetworkStack::Deliver(SkBuffPtr skb) {
   return FreeSkb(std::move(skb));
 }
 
-void NetworkStack::Drop(telemetry::Hub& hub, uint64_t len, std::string reason) {
-  EmitStackEvent(hub, telemetry::EventKind::kStackDrop, len, this, std::move(reason));
+void NetworkStack::Drop(telemetry::Hub& hub, uint64_t len, std::string_view reason) {
+  EmitStackEvent(hub, telemetry::EventKind::kStackDrop, len, this, reason);
   if (hub.enabled()) {
     hub.counter("stack.rx_dropped").Add();
   }
@@ -166,6 +170,11 @@ Status NetworkStack::Forward(SkBuffPtr skb) {
 
 Result<std::vector<uint8_t>> NetworkStack::ReadPayload(const SkBuff& skb) {
   std::vector<uint8_t> payload;
+  SPV_RETURN_IF_ERROR(ReadPayloadInto(skb, payload));
+  return payload;
+}
+
+Status NetworkStack::ReadPayloadInto(const SkBuff& skb, std::vector<uint8_t>& payload) {
   const uint32_t linear_payload = skb.linear_len() - PacketHeader::kSize;
   payload.resize(linear_payload);
   SPV_RETURN_IF_ERROR(
@@ -192,19 +201,19 @@ Result<std::vector<uint8_t>> NetworkStack::ReadPayload(const SkBuff& skb) {
     SPV_RETURN_IF_ERROR(kmem_.Read(
         frag_kva, std::span<uint8_t>(payload.data() + old_size, frag->size)));
   }
-  return payload;
+  return OkStatus();
 }
 
 Status NetworkStack::Echo(const SkBuff& skb) {
-  Result<std::vector<uint8_t>> payload = ReadPayload(skb);
-  if (!payload.ok()) {
-    return payload.status();
-  }
+  std::vector<uint8_t> payload = std::move(echo_payload_);
+  SPV_RETURN_IF_ERROR(ReadPayloadInto(skb, payload));
   PacketHeader reply = skb.header;
   std::swap(reply.src_ip, reply.dst_ip);
   std::swap(reply.src_port, reply.dst_port);
-  reply.payload_len = static_cast<uint16_t>(payload->size());
-  return SendPacket(reply, *payload);
+  reply.payload_len = static_cast<uint16_t>(payload.size());
+  Status sent = SendPacket(reply, payload);
+  echo_payload_ = std::move(payload);
+  return sent;
 }
 
 Status NetworkStack::SendPacket(const PacketHeader& header, std::span<const uint8_t> payload) {

@@ -91,6 +91,9 @@ class NetworkStack {
   Result<std::vector<uint8_t>> ReadPayload(const SkBuff& skb);
 
  private:
+  // ReadPayload into `payload` (resized to fit), reusing its capacity.
+  Status ReadPayloadInto(const SkBuff& skb, std::vector<uint8_t>& payload);
+
   struct Socket {
     Kva object;
     bool echo;
@@ -99,7 +102,7 @@ class NetworkStack {
   Status Deliver(SkBuffPtr skb);
   Status Forward(SkBuffPtr skb);
   Status Echo(const SkBuff& skb);
-  void Drop(telemetry::Hub& hub, uint64_t len, std::string reason);
+  void Drop(telemetry::Hub& hub, uint64_t len, std::string_view reason);
   // Accounts a TX packet dropped on a revoked egress device.
   void Shed(uint64_t len, std::string_view path);
 
@@ -114,6 +117,12 @@ class NetworkStack {
   std::map<uint16_t, Socket> sockets_;
   Kva init_net_;
   Stats stats_;
+  // Echo's payload buffer, taken for the call and handed back after it, so a
+  // steady echo load reuses one allocation (a nested Echo finds it taken and
+  // uses a fresh one).
+  std::vector<uint8_t> echo_payload_;
+  // NapiComplete's batch of flushed GRO heads, reused the same way.
+  std::vector<SkBuffPtr> napi_batch_;
 };
 
 }  // namespace spv::net

@@ -78,16 +78,9 @@ Status MaliciousNvme::ReplayPendingTransfer() {
     if (n == 0) {
       break;
     }
-    Status io;
-    if (transfer.opcode == kOpRead) {
-      io = port_.Write(chunk.iova,
-                       std::span<const uint8_t>(
-                           media_.data() + transfer.media_off + moved, n));
-    } else {
-      io = port_.Read(chunk.iova,
-                      std::span<uint8_t>(
-                          media_.data() + transfer.media_off + moved, n));
-    }
+    const std::span<uint8_t> media = media_.Span(PhysAddr{transfer.media_off + moved}, n);
+    const Status io = transfer.opcode == kOpRead ? port_.Write(chunk.iova, media)
+                                                 : port_.Read(chunk.iova, media);
     if (!io.ok()) {
       return io;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "base/align.h"
 #include "fault/fault.h"
 
 namespace spv::nvme {
@@ -22,7 +23,7 @@ bool Inject(fault::FaultEngine* engine, fault::FaultSite site) {
 NvmeController::NvmeController(device::DevicePort port, Config config)
     : port_(port),
       config_(config),
-      media_(config.capacity_blocks * kLbaSize, 0) {}
+      media_(AlignUp(config.capacity_blocks * kLbaSize, kPageSize) >> kPageShift) {}
 
 void NvmeController::OnAdminQueueConfigured(const QueuePair& queues) {
   QueueState state;
@@ -194,7 +195,8 @@ void NvmeController::ExecuteIo(const Sqe& sqe, Cqe& cqe) {
     return;
   }
   const uint64_t blocks = static_cast<uint64_t>(sqe.nlb) + 1;
-  if (sqe.slba + blocks > config_.capacity_blocks) {
+  // Written so a device-supplied slba near 2^64 cannot wrap past the check.
+  if (sqe.slba > config_.capacity_blocks || blocks > config_.capacity_blocks - sqe.slba) {
     cqe.status = kScLbaOutOfRange;
     return;
   }
@@ -227,16 +229,9 @@ void NvmeController::ExecuteIo(const Sqe& sqe, Cqe& cqe) {
     if (n == 0) {
       break;
     }
-    Status io;
-    if (sqe.opcode == kOpRead) {
-      io = port_.Write(
-          chunk.iova,
-          std::span<const uint8_t>(media_.data() + media_off + transferred, n));
-    } else {
-      io = port_.Read(
-          chunk.iova,
-          std::span<uint8_t>(media_.data() + media_off + transferred, n));
-    }
+    const std::span<uint8_t> media = media_.Span(PhysAddr{media_off + transferred}, n);
+    const Status io =
+        sqe.opcode == kOpRead ? port_.Write(chunk.iova, media) : port_.Read(chunk.iova, media);
     if (!io.ok()) {
       ++stats_.transfer_errors;
       cqe.status = kScDataTransferError;
@@ -357,9 +352,9 @@ Result<std::vector<uint8_t>> NvmeController::PeekMedia(uint64_t slba,
   if (slba + blocks > config_.capacity_blocks) {
     return InvalidArgument("PeekMedia out of range");
   }
-  const uint64_t off = slba << kLbaShift;
-  const uint64_t len = blocks << kLbaShift;
-  return std::vector<uint8_t>(media_.begin() + off, media_.begin() + off + len);
+  std::vector<uint8_t> out(blocks << kLbaShift);
+  SPV_RETURN_IF_ERROR(media_.Read(PhysAddr{slba << kLbaShift}, out));
+  return out;
 }
 
 }  // namespace spv::nvme

@@ -21,6 +21,7 @@
 #include "base/status.h"
 #include "base/types.h"
 #include "device/device_port.h"
+#include "mem/phys_memory.h"
 #include "nvme/nvme_defs.h"
 #include "nvme/nvme_device_model.h"
 #include "trace/tracer.h"
@@ -122,7 +123,9 @@ class NvmeController : public NvmeDeviceModel {
 
   device::DevicePort port_;
   Config config_;
-  std::vector<uint8_t> media_;
+  // Lazily zeroed, like simulated RAM: building a controller does not
+  // zero-fill its capacity, and the pages a run never touches cost nothing.
+  mem::PhysicalMemory media_;
   std::map<uint16_t, QueueState> queues_;
   // CreateCq parks geometry here until the matching CreateSq arrives.
   struct PendingCq {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <initializer_list>
 
 #include "dma/bounce_pool.h"
 #include "fault/fault.h"
@@ -15,10 +16,12 @@ namespace {
 // deadline reachable on a silent device.
 constexpr uint64_t kPollSpinCycles = 100;
 
-// One helper for every driver emit point, same shape as the NIC's.
+// One helper for every driver emit point, same shape as the NIC's: the site
+// is the concatenation of `site_parts`, built only when someone listens.
 void EmitNvmeEvent(telemetry::Hub& hub, telemetry::EventKind kind,
                    telemetry::Severity severity, DeviceId device, uint64_t len,
-                   uint64_t addr, const void* origin, std::string site) {
+                   uint64_t addr, const void* origin,
+                   std::initializer_list<std::string_view> site_parts) {
   if (!hub.active()) {
     return;
   }
@@ -29,7 +32,9 @@ void EmitNvmeEvent(telemetry::Hub& hub, telemetry::EventKind kind,
   event.len = len;
   event.addr = addr;
   event.origin = origin;
-  event.site = std::move(site);
+  for (std::string_view part : site_parts) {
+    event.site += part;
+  }
   hub.Publish(std::move(event));
 }
 
@@ -45,7 +50,16 @@ NvmeDriver::NvmeDriver(DeviceId device_id, dma::DmaApi& dma,
       slab_(slab),
       frag_pool_(frag_pool),
       clock_(clock),
-      config_(std::move(config)) {}
+      config_(std::move(config)),
+      sites_{Site::Intern(config_.name + "_sq"),
+             Site::Intern(config_.name + "_cq"),
+             Site::Intern(config_.name + "_map_sq"),
+             Site::Intern(config_.name + "_map_cq"),
+             Site::Intern(config_.name + "_identify"),
+             Site::Intern(config_.name + "_map_identify"),
+             Site::Intern(config_.name + "_map_data"),
+             Site::Intern(config_.name + "_prp_seg"),
+             Site::Intern(config_.name + "_map_prp")} {}
 
 bool NvmeDriver::PollDeadlineHit(uint64_t start_cycle, std::string_view loop) {
   if (clock_.now() - start_cycle < EffectivePollDeadline()) {
@@ -55,7 +69,7 @@ bool NvmeDriver::PollDeadlineHit(uint64_t start_cycle, std::string_view loop) {
   EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmePollDeadline,
                 telemetry::Severity::kWarn, device_id_,
                 clock_.now() - start_cycle, 0, this,
-                config_.name + "_" + std::string(loop));
+                {config_.name, "_", loop});
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nvme.poll_deadline_exceeded").Add();
   }
@@ -116,11 +130,11 @@ Status NvmeDriver::AllocQueue(QueueView& view, uint16_t qid,
   // next to unrelated kernel objects — type (d) co-location for queue state
   // itself, exactly like a real dma_alloc_coherent-averse driver would not
   // have, and our attack tests need.
-  Result<Kva> sq = slab_.Kmalloc(sq_bytes, config_.name + "_sq");
+  Result<Kva> sq = slab_.Kmalloc(sq_bytes, sites_.sq);
   if (!sq.ok()) {
     return sq.status();
   }
-  Result<Kva> cq = slab_.Kmalloc(cq_bytes, config_.name + "_cq");
+  Result<Kva> cq = slab_.Kmalloc(cq_bytes, sites_.cq);
   if (!cq.ok()) {
     (void)slab_.Kfree(*sq);
     return cq.status();
@@ -130,7 +144,7 @@ Status NvmeDriver::AllocQueue(QueueView& view, uint16_t qid,
   // queue's whole life, with SQE/CQE syncs moving the bytes (sync mode).
   Result<Iova> sq_iova =
       dma_.MapPersistent(device_id_, *sq, sq_bytes, dma::DmaDirection::kToDevice,
-                         config_.name + "_map_sq");
+                         sites_.map_sq);
   if (!sq_iova.ok()) {
     (void)slab_.Kfree(*cq);
     (void)slab_.Kfree(*sq);
@@ -138,7 +152,7 @@ Status NvmeDriver::AllocQueue(QueueView& view, uint16_t qid,
   }
   Result<Iova> cq_iova =
       dma_.MapPersistent(device_id_, *cq, cq_bytes, dma::DmaDirection::kFromDevice,
-                         config_.name + "_map_cq");
+                         sites_.map_cq);
   if (!cq_iova.ok()) {
     (void)dma_.UnmapSingle(device_id_, *sq_iova, sq_bytes,
                            dma::DmaDirection::kToDevice);
@@ -185,13 +199,13 @@ Status NvmeDriver::FreeQueue(QueueView& view) {
 }
 
 Status NvmeDriver::IdentifyController() {
-  Result<Kva> page = slab_.Kmalloc(kPageSize, config_.name + "_identify");
+  Result<Kva> page = slab_.Kmalloc(kPageSize, sites_.identify);
   if (!page.ok()) {
     return page.status();
   }
   Result<Iova> iova =
       dma_.MapSingle(device_id_, *page, kPageSize,
-                     dma::DmaDirection::kFromDevice, config_.name + "_map_identify");
+                     dma::DmaDirection::kFromDevice, sites_.map_identify);
   if (!iova.ok()) {
     (void)slab_.Kfree(*page);
     return iova.status();
@@ -282,7 +296,7 @@ Result<Cqe> NvmeDriver::AdminCommand(const Sqe& sqe) {
         EmitNvmeEvent(dma_.telemetry(),
                       telemetry::EventKind::kNvmeCompletionError,
                       telemetry::Severity::kWarn, device_id_, 0, cqe->cid, this,
-                      config_.name + "_admin_bad_cid");
+                      {config_.name, "_admin_bad_cid"});
         continue;
       }
       return *cqe;
@@ -365,7 +379,8 @@ Result<uint16_t> NvmeDriver::SubmitIoWithCid(uint8_t opcode, uint64_t slba,
   if (nblocks > config_.max_transfer_blocks) {
     return InvalidArgument("transfer exceeds max_transfer_blocks");
   }
-  if (capacity_blocks_ != 0 && slba + nblocks > capacity_blocks_) {
+  if (capacity_blocks_ != 0 &&
+      (slba > capacity_blocks_ || nblocks > capacity_blocks_ - slba)) {
     return InvalidArgument("transfer beyond device capacity");
   }
   if (outstanding_.size() >= EffectiveQueueDepth()) {
@@ -378,7 +393,7 @@ Result<uint16_t> NvmeDriver::SubmitIoWithCid(uint8_t opcode, uint64_t slba,
                                     ? dma::DmaDirection::kFromDevice
                                     : dma::DmaDirection::kToDevice;
   Result<Iova> iova =
-      dma_.MapSingle(device_id_, buf, len, dir, config_.name + "_map_data");
+      dma_.MapSingle(device_id_, buf, len, dir, sites_.map_data);
   if (!iova.ok()) {
     return iova.status();
   }
@@ -391,7 +406,8 @@ Result<uint16_t> NvmeDriver::SubmitIoWithCid(uint8_t opcode, uint64_t slba,
     // Every byte past the first page boundary is covered by page-aligned
     // entries at prp1+first_len, +4K, ... (MapSingle keeps the buffer
     // IOVA-contiguous).
-    std::vector<uint64_t> pages;
+    std::vector<uint64_t>& pages = prp_pages_;
+    pages.clear();
     for (uint64_t off = first_len; off < len; off += kPageSize) {
       pages.push_back(prp1 + off);
     }
@@ -423,10 +439,10 @@ Result<uint16_t> NvmeDriver::SubmitIoWithCid(uint8_t opcode, uint64_t slba,
   IoCmd cmd{opcode, buf, len, *iova, dir, std::move(segs), submit_cycle,
             slba, nblocks};
   const uint16_t use_cid = sqe.cid;
-  outstanding_[use_cid] = std::move(cmd);
+  outstanding_nodes_.Put(outstanding_, use_cid, std::move(cmd));
   EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmeSubmit,
                 telemetry::Severity::kInfo, device_id_, len, iova->value, this,
-                config_.name + (opcode == kOpRead ? "_read" : "_write"));
+                {config_.name, opcode == kOpRead ? "_read" : "_write"});
   device_->OnSqDoorbell(kIoQid, io_.sq_tail);
   return use_cid;
 }
@@ -435,34 +451,37 @@ Status NvmeDriver::BuildPrpChain(const std::vector<uint64_t>& page_iovas,
                                  std::vector<PrpSeg>& segs, uint64_t& prp2) {
   // Split entries into fixed-capacity segments: every segment but the last
   // donates its final slot to the chain pointer.
-  std::vector<size_t> seg_counts;
-  size_t consumed = 0;
-  while (page_iovas.size() - consumed > kPrpSegEntries) {
-    seg_counts.push_back(kPrpSegEntries - 1);
-    consumed += kPrpSegEntries - 1;
+  constexpr size_t kPerLinkedSeg = kPrpSegEntries - 1;
+  size_t num_segs = 1;
+  while (page_iovas.size() - (num_segs - 1) * kPerLinkedSeg > kPrpSegEntries) {
+    ++num_segs;
   }
-  seg_counts.push_back(page_iovas.size() - consumed);
+  auto entries_in = [&](size_t seg) {
+    return seg + 1 < num_segs ? kPerLinkedSeg
+                              : page_iovas.size() - (num_segs - 1) * kPerLinkedSeg;
+  };
   // Build back-to-front so each chain pointer is written (by the CPU, before
   // the segment is mapped) with the already-known IOVA of its successor —
   // no CPU stores into device-owned memory.
-  std::vector<PrpSeg> built(seg_counts.size());
+  const size_t base = segs.size();
+  segs.resize(base + num_segs);
   const bool from_frag = config_.prp_lists_from_frags && frag_pool_ != nullptr;
   const uint64_t seg_bytes = from_frag ? kPrpSegBytes : kPageSize;
   uint64_t next_iova = 0;
   size_t entry_index = page_iovas.size();
   Status first = OkStatus();
-  size_t s = seg_counts.size();
+  size_t s = num_segs;
   while (s-- > 0) {
-    entry_index -= seg_counts[s];
+    entry_index -= entries_in(s);
     Result<Kva> kva =
         from_frag
-            ? frag_pool_->Alloc(kPrpSegBytes, 8, config_.name + "_prp_seg")
-            : slab_.Kmalloc(kPageSize, config_.name + "_prp_seg");
+            ? frag_pool_->Alloc(kPrpSegBytes, 8, sites_.prp_seg)
+            : slab_.Kmalloc(kPageSize, sites_.prp_seg);
     if (!kva.ok()) {
       first = kva.status();
       break;
     }
-    for (size_t j = 0; j < seg_counts[s] && first.ok(); ++j) {
+    for (size_t j = 0; j < entries_in(s) && first.ok(); ++j) {
       first = kmem_.WriteU64(*kva + 8 * j, page_iovas[entry_index + j]);
     }
     if (first.ok() && next_iova != 0) {
@@ -478,7 +497,7 @@ Status NvmeDriver::BuildPrpChain(const std::vector<uint64_t>& page_iovas,
     }
     Result<Iova> seg_iova =
         dma_.MapSingle(device_id_, *kva, seg_bytes,
-                       dma::DmaDirection::kToDevice, config_.name + "_map_prp");
+                       dma::DmaDirection::kToDevice, sites_.map_prp);
     if (!seg_iova.ok()) {
       if (from_frag) {
         (void)frag_pool_->Free(*kva);
@@ -488,25 +507,26 @@ Status NvmeDriver::BuildPrpChain(const std::vector<uint64_t>& page_iovas,
       first = seg_iova.status();
       break;
     }
-    built[s] = PrpSeg{*kva, *seg_iova, from_frag};
+    segs[base + s] = PrpSeg{*kva, *seg_iova, from_frag};
     next_iova = seg_iova->value;
     ++prp_segments_built_;
   }
   if (!first.ok()) {
     // Tear down the segments already built (they sit at indices s+1..end).
-    for (size_t t = s + 1; t < built.size(); ++t) {
-      (void)dma_.UnmapSingle(device_id_, built[t].iova, seg_bytes,
+    for (size_t t = s + 1; t < num_segs; ++t) {
+      const PrpSeg& built = segs[base + t];
+      (void)dma_.UnmapSingle(device_id_, built.iova, seg_bytes,
                              dma::DmaDirection::kToDevice);
-      if (built[t].from_frag) {
-        (void)frag_pool_->Free(built[t].kva);
+      if (built.from_frag) {
+        (void)frag_pool_->Free(built.kva);
       } else {
-        (void)slab_.Kfree(built[t].kva);
+        (void)slab_.Kfree(built.kva);
       }
     }
+    segs.resize(base);
     return first;
   }
   prp2 = next_iova;
-  segs.insert(segs.end(), built.begin(), built.end());
   return OkStatus();
 }
 
@@ -587,14 +607,13 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     ++completion_errors_;
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeCompletionError,
                   telemetry::Severity::kWarn, device_id_, 0, cqe.cid, this,
-                  config_.name + "_bad_cid");
+                  {config_.name, "_bad_cid"});
     if (hub.enabled()) {
-      hub.counter("nvme.completion_errors").Add();
+      c_completion_errors_.Get(hub).Add();
     }
     return false;
   }
-  IoCmd cmd = std::move(it->second);
-  outstanding_.erase(it);
+  IoCmd cmd = outstanding_nodes_.Take(outstanding_, it);
   uint8_t status = cqe.status;
   uint64_t transferred = cqe.dw0;
   if (status == kScSuccess && transferred != cmd.len) {
@@ -603,14 +622,14 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     ++completion_errors_;
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeCompletionError,
                   telemetry::Severity::kWarn, device_id_, transferred, cqe.cid,
-                  this, config_.name + "_short_transfer");
+                  this, {config_.name, "_short_transfer"});
     if (hub.enabled()) {
-      hub.counter("nvme.completion_errors").Add();
+      c_completion_errors_.Get(hub).Add();
     }
     status = kScDataTransferError;
   }
   (void)ReleaseCmd(cmd, "complete");
-  finished_[cqe.cid] = Finished{status, transferred};
+  finished_nodes_.Put(finished_, cqe.cid, Finished{status, transferred});
   if (status == kScSuccess) {
     if (cmd.opcode == kOpRead) {
       ++reads_completed_;
@@ -619,20 +638,19 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     }
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeComplete,
                   telemetry::Severity::kInfo, device_id_, transferred, cqe.cid,
-                  this, config_.name + "_complete");
+                  this, {config_.name, "_complete"});
     if (hub.enabled()) {
-      hub.counter(cmd.opcode == kOpRead ? "nvme.reads" : "nvme.writes").Add();
-      hub.histogram("nvme.io_latency_cycles")
-          .Record(clock_.now() - cmd.submit_cycle);
-      hub.histogram("nvme.transfer_bytes").Record(transferred);
+      (cmd.opcode == kOpRead ? c_reads_ : c_writes_).Get(hub).Add();
+      h_io_latency_cycles_.Get(hub).Record(clock_.now() - cmd.submit_cycle);
+      h_transfer_bytes_.Get(hub).Record(transferred);
     }
   } else {
     ++io_errors_;
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeComplete,
                   telemetry::Severity::kWarn, device_id_, transferred, cqe.cid,
-                  this, config_.name + "_error_status");
+                  this, {config_.name, "_error_status"});
     if (hub.enabled()) {
-      hub.counter("nvme.io_errors").Add();
+      c_io_errors_.Get(hub).Add();
     }
   }
   return true;
@@ -643,8 +661,7 @@ Result<uint64_t> NvmeDriver::WaitFor(uint16_t cid) {
   while (true) {
     auto done = finished_.find(cid);
     if (done != finished_.end()) {
-      const Finished result = done->second;
-      finished_.erase(done);
+      const Finished result = finished_nodes_.Take(finished_, done);
       if (result.status != kScSuccess) {
         return Internal("nvme command failed with status " +
                         std::to_string(result.status));
@@ -724,7 +741,7 @@ uint32_t NvmeDriver::CheckTimeouts() {
   ++queue_resets_;
   EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmeQueueReset,
                 telemetry::Severity::kWarn, device_id_, failed, 0, this,
-                config_.name + "_watchdog");
+                {config_.name, "_watchdog"});
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nvme.queue_resets").Add();
   }
@@ -800,7 +817,7 @@ Status NvmeDriver::SwitchServiceMode(dma::ServiceMode next) {
   EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmeQueueReset,
                 telemetry::Severity::kWarn, device_id_, pending.size(),
                 static_cast<uint64_t>(next), this,
-                config_.name + "_mode_switch");
+                {config_.name, "_mode_switch"});
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nvme.mode_switches").Add();
   }

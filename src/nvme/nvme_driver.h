@@ -26,6 +26,8 @@
 #include <vector>
 
 #include "base/clock.h"
+#include "base/node_recycler.h"
+#include "base/site.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "dma/dma_api.h"
@@ -255,6 +257,20 @@ class NvmeDriver : public recovery::SupervisedDriver {
                : cap;
   }
 
+  // Record sites ("nvme0_map_data", ...), interned once at construction so
+  // the per-command path composes no strings.
+  struct Sites {
+    Site sq;
+    Site cq;
+    Site map_sq;
+    Site map_cq;
+    Site identify;
+    Site map_identify;
+    Site map_data;
+    Site prp_seg;
+    Site map_prp;
+  };
+
   DeviceId device_id_;
   dma::DmaApi& dma_;
   dma::KernelMemory& kmem_;
@@ -262,6 +278,7 @@ class NvmeDriver : public recovery::SupervisedDriver {
   slab::PageFragPool* frag_pool_;
   SimClock& clock_;
   Config config_;
+  Sites sites_;
   NvmeDeviceModel* device_ = nullptr;
   fault::FaultEngine* fault_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
@@ -272,6 +289,11 @@ class NvmeDriver : public recovery::SupervisedDriver {
   uint64_t capacity_blocks_ = 0;
   std::map<uint16_t, IoCmd> outstanding_;
   std::map<uint16_t, Finished> finished_;
+  // Per-command insert/erase of the two maps above reuse their nodes.
+  NodeRecycler<std::map<uint16_t, IoCmd>> outstanding_nodes_;
+  NodeRecycler<std::map<uint16_t, Finished>> finished_nodes_;
+  // SubmitIo's page list past the first PRP, reused across commands.
+  std::vector<uint64_t> prp_pages_;
   uint16_t next_cid_ = 1;
 
   uint64_t reads_completed_ = 0;
@@ -284,6 +306,14 @@ class NvmeDriver : public recovery::SupervisedDriver {
   dma::ServiceMode active_mode_ = dma::ServiceMode::kZeroCopy;
   uint32_t mode_switches_ = 0;
   bool in_mode_switch_ = false;  // re-entrancy guard for RefreshServiceMode
+
+  // Per-command hub metrics (telemetry::CachedMetric: resolved on first bump).
+  telemetry::CachedCounter c_reads_{"nvme.reads"};
+  telemetry::CachedCounter c_writes_{"nvme.writes"};
+  telemetry::CachedCounter c_io_errors_{"nvme.io_errors"};
+  telemetry::CachedCounter c_completion_errors_{"nvme.completion_errors"};
+  telemetry::CachedHistogram h_io_latency_cycles_{"nvme.io_latency_cycles"};
+  telemetry::CachedHistogram h_transfer_bytes_{"nvme.transfer_bytes"};
 };
 
 }  // namespace spv::nvme

@@ -61,12 +61,13 @@ Result<PageFragPool::Region*> PageFragPool::RefillRegion(uint64_t bytes) {
   if (hub_ != nullptr && hub_->enabled()) {
     hub_->counter("frag.regions").Add();
   }
-  auto [it, inserted] = regions_.emplace(head->value, region);
+  auto [stored, inserted] = regions_.TryEmplace(head->value, region);
   assert(inserted);
-  return &it->second;
+  (void)inserted;
+  return stored;
 }
 
-Result<Kva> PageFragPool::Alloc(uint64_t size, uint64_t align, std::string_view site) {
+Result<Kva> PageFragPool::Alloc(uint64_t size, uint64_t align, Site site) {
   if (size == 0 || !IsPowerOfTwo(align)) {
     return InvalidArgument("page_frag alloc: bad size or alignment");
   }
@@ -86,24 +87,23 @@ Result<Kva> PageFragPool::Alloc(uint64_t size, uint64_t align, std::string_view 
     r->offset = AlignDown(r->bytes - size, align);
     r->refs = 1;
     const Kva kva = layout_.PhysToDirectMapKva(PhysAddr::FromPfn(r->head, 0)) + r->offset;
-    frags_[kva.value] = Frag{r->head.value, size, std::string(site)};
+    frags_.InsertOrAssign(kva.value, Frag{r->head.value, size, site});
     Notify(true, kva, size, site);
     return kva;
   }
 
   Region* region = nullptr;
   if (current_region_ != UINT64_MAX) {
-    auto it = regions_.find(current_region_);
-    if (it != regions_.end() && it->second.offset >= size) {
-      region = &it->second;
+    Region* current = regions_.Find(current_region_);
+    if (current != nullptr && current->offset >= size) {
+      region = current;
     }
   }
   if (region == nullptr) {
     // Retire the current region; it lives on until its refs drop.
     if (current_region_ != UINT64_MAX) {
-      auto it = regions_.find(current_region_);
-      if (it != regions_.end()) {
-        it->second.current = false;
+      if (Region* retired = regions_.Find(current_region_); retired != nullptr) {
+        retired->current = false;
         MaybeReleaseRegion(current_region_);
       }
       current_region_ = UINT64_MAX;
@@ -119,61 +119,61 @@ Result<Kva> PageFragPool::Alloc(uint64_t size, uint64_t align, std::string_view 
   region->offset = AlignDown(region->offset - size, align);
   ++region->refs;
   const Kva kva = layout_.PhysToDirectMapKva(PhysAddr::FromPfn(region->head, 0)) + region->offset;
-  frags_[kva.value] = Frag{region->head.value, size, std::string(site)};
+  frags_.InsertOrAssign(kva.value, Frag{region->head.value, size, site});
   Notify(true, kva, size, site);
   return kva;
 }
 
 Status PageFragPool::Free(Kva kva) {
-  auto it = frags_.find(kva.value);
-  if (it == frags_.end()) {
+  const Frag* frag = frags_.Find(kva.value);
+  if (frag == nullptr) {
     return FailedPrecondition("page_frag free of unknown frag");
   }
-  const uint64_t head = it->second.region_head;
-  const uint64_t size = it->second.size;
-  frags_.erase(it);
+  const uint64_t head = frag->region_head;
+  const uint64_t size = frag->size;
+  frags_.Erase(kva.value);
 
-  auto rit = regions_.find(head);
-  if (rit == regions_.end()) {
+  Region* region = regions_.Find(head);
+  if (region == nullptr) {
     return Internal("page_frag free: frag points at an unknown region");
   }
-  if (rit->second.refs == 0) {
+  if (region->refs == 0) {
     return Internal("page_frag free: region refcount underflow");
   }
-  --rit->second.refs;
+  --region->refs;
   Notify(false, kva, size, "");
   MaybeReleaseRegion(head);
   return OkStatus();
 }
 
 void PageFragPool::MaybeReleaseRegion(uint64_t head_pfn) {
-  auto it = regions_.find(head_pfn);
-  if (it == regions_.end() || it->second.current || it->second.refs > 0) {
+  const Region* region = regions_.Find(head_pfn);
+  if (region == nullptr || region->current || region->refs > 0) {
     return;
   }
-  Status s = page_alloc_.FreePages(it->second.head);
+  Status s = page_alloc_.FreePages(region->head);
   if (!s.ok()) {
     // Keep the region recorded rather than leaking its bookkeeping; a later
     // release attempt (or CheckInvariants) will see the inconsistency.
     return;
   }
-  regions_.erase(it);
+  regions_.Erase(head_pfn);
 }
 
 std::vector<FragInfo> PageFragPool::LiveFragsOnPage(Pfn pfn) const {
   std::vector<FragInfo> out;
-  for (const auto& [kva_value, frag] : frags_) {
+  frags_.ForEach([&](uint64_t kva_value, const Frag& frag) {
     const Kva kva{kva_value};
     auto phys = layout_.DirectMapKvaToPhys(kva);
     if (!phys.ok()) {
-      continue;
+      return;
     }
     const uint64_t first = phys->pfn().value;
     const uint64_t last = (phys->value + frag.size - 1) >> kPageShift;
     if (pfn.value >= first && pfn.value <= last) {
       out.push_back(FragInfo{kva, frag.size, frag.site});
     }
-  }
+  });
   std::sort(out.begin(), out.end(), [](const FragInfo& a, const FragInfo& b) {
     return a.kva < b.kva;
   });

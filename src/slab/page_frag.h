@@ -16,9 +16,10 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "base/flat_map.h"
+#include "base/site.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "mem/kernel_layout.h"
@@ -36,7 +37,7 @@ namespace spv::slab {
 struct FragInfo {
   Kva kva;
   uint64_t size;
-  std::string site;
+  std::string_view site;  // a Site's name
 };
 
 class PageFragPool {
@@ -56,7 +57,7 @@ class PageFragPool {
   // A fresh region is allocated when the current one is exhausted. Sizes
   // larger than the standard region get a dedicated region (HW-LRO style
   // 64 KiB buffers take this path).
-  Result<Kva> Alloc(uint64_t size, uint64_t align = 1, std::string_view site = "page_frag");
+  Result<Kva> Alloc(uint64_t size, uint64_t align = 1, Site site = "page_frag");
 
   // Drops the reference a frag holds on its region; the region's pages are
   // returned to the buddy allocator when retired and unreferenced.
@@ -93,9 +94,9 @@ class PageFragPool {
   };
 
   struct Frag {
-    uint64_t region_head;  // pfn of owning region
-    uint64_t size;
-    std::string site;
+    uint64_t region_head = 0;  // pfn of owning region
+    uint64_t size = 0;
+    std::string_view site;  // a Site's name
   };
 
   Result<Region*> RefillRegion(uint64_t bytes);
@@ -109,8 +110,8 @@ class PageFragPool {
   uint64_t region_bytes_;
 
   uint64_t current_region_ = UINT64_MAX;                // head pfn of active region
-  std::unordered_map<uint64_t, Region> regions_;        // head pfn -> region
-  std::unordered_map<uint64_t, Frag> frags_;            // frag kva -> record
+  FlatMap<uint64_t, Region> regions_;                  // head pfn -> region
+  FlatMap<uint64_t, Frag> frags_;                      // frag kva -> record
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected
   std::vector<std::unique_ptr<SlabObserverSink>> observer_sinks_;

@@ -35,7 +35,7 @@ std::optional<uint16_t> SlabAllocator::SizeClassIndex(uint64_t size) {
   return std::nullopt;
 }
 
-Result<Kva> SlabAllocator::Kmalloc(uint64_t size, std::string_view site) {
+Result<Kva> SlabAllocator::Kmalloc(uint64_t size, Site site) {
   if (fault_ != nullptr && fault_->armed() &&
       fault_->ShouldInject(fault::FaultSite::kSlabAlloc)) {
     return ResourceExhausted("injected: kmalloc cache exhausted");
@@ -49,8 +49,8 @@ Result<Kva> SlabAllocator::Kmalloc(uint64_t size, std::string_view site) {
 
   // Find a partial slab page (MRU first, like SLUB's per-cpu active slab).
   while (!cache.partial.empty()) {
-    auto it = slab_pages_.find(cache.partial.front().value);
-    if (it == slab_pages_.end() || it->second.free_stack.empty()) {
+    const SlabPage* partial = slab_pages_.Find(cache.partial.front().value);
+    if (partial == nullptr || partial->free_stack.empty()) {
       cache.partial.pop_front();
       continue;
     }
@@ -64,7 +64,7 @@ Result<Kva> SlabAllocator::Kmalloc(uint64_t size, std::string_view site) {
     cache.partial.push_front(*page);
   }
 
-  SlabPage& page = slab_pages_.at(cache.partial.front().value);
+  SlabPage& page = *slab_pages_.Find(cache.partial.front().value);
   const uint16_t slot = page.free_stack.back();
   const Kva kva = SlotKva(page, slot);
   // kzalloc semantics. Zero before carving the slot so a physical-memory
@@ -80,7 +80,7 @@ Result<Kva> SlabAllocator::Kmalloc(uint64_t size, std::string_view site) {
 
   page.free_stack.pop_back();
   page.occupied[slot] = true;
-  page.sites[slot] = std::string(site);
+  page.sites[slot] = site;
   ++page.used;
   if (page.free_stack.empty()) {
     cache.partial.pop_front();  // page is now full
@@ -96,7 +96,7 @@ Result<Kva> SlabAllocator::Kmalloc(uint64_t size, std::string_view site) {
   return kva;
 }
 
-Result<Kva> SlabAllocator::KmallocLarge(uint64_t size, std::string_view site) {
+Result<Kva> SlabAllocator::KmallocLarge(uint64_t size, Site site) {
   std::lock_guard<MaybeMutex> guard(mu_);
   const unsigned order = Log2Ceil(AlignUp(size, kPageSize) >> kPageShift);
   Result<Pfn> head = page_alloc_.AllocPages(order, mem::PageOwner::kAnon);
@@ -111,7 +111,7 @@ Result<Kva> SlabAllocator::KmallocLarge(uint64_t size, std::string_view site) {
     (void)page_alloc_.FreePages(*head);
     return zero;
   }
-  large_[head->value] = LargeAlloc{*head, size, order, std::string(site)};
+  large_[head->value] = LargeAlloc{*head, size, order, site};
   ++live_objects_;
   Notify(/*alloc=*/true, kva, size, site);
   return kva;
@@ -124,7 +124,15 @@ Result<Pfn> SlabAllocator::NewSlabPage(Cache& cache) {
   }
   page_db_.Get(*pfn).cache_id = cache.id;
 
+  // Reuse a released page's record: its vectors keep their capacity, so a
+  // page that empties and refills every packet costs no heap traffic.
   SlabPage page;
+  if (!spare_pages_.empty()) {
+    page = std::move(spare_pages_.back());
+    spare_pages_.pop_back();
+    page.used = 0;
+    page.free_stack.clear();
+  }
   page.pfn = *pfn;
   page.cache_id = cache.id;
   page.object_size = cache.object_size;
@@ -136,7 +144,7 @@ Result<Pfn> SlabAllocator::NewSlabPage(Cache& cache) {
   for (uint32_t slot = cache.objects_per_page; slot > 0; --slot) {
     page.free_stack.push_back(static_cast<uint16_t>(slot - 1));
   }
-  slab_pages_[pfn->value] = std::move(page);
+  slab_pages_.InsertOrAssign(pfn->value, std::move(page));
   return *pfn;
 }
 
@@ -169,11 +177,11 @@ Status SlabAllocator::Kfree(Kva kva) {
     return OkStatus();
   }
 
-  auto it = slab_pages_.find(pfn.value);
-  if (it == slab_pages_.end()) {
+  SlabPage* found = slab_pages_.Find(pfn.value);
+  if (found == nullptr) {
     return FailedPrecondition("kfree of pointer not owned by slab");
   }
-  SlabPage& page = it->second;
+  SlabPage& page = *found;
   const uint64_t offset = phys->page_offset();
   if (offset % page.object_size != 0) {
     return FailedPrecondition("kfree of misaligned object pointer");
@@ -183,7 +191,7 @@ Status SlabAllocator::Kfree(Kva kva) {
     return FailedPrecondition("double kfree");
   }
   page.occupied[slot] = false;
-  page.sites[slot].clear();
+  page.sites[slot] = {};
   page.free_stack.push_back(static_cast<uint16_t>(slot));
   const uint32_t was_used = page.used--;
   --live_objects_;
@@ -200,7 +208,10 @@ Status SlabAllocator::Kfree(Kva kva) {
                                        [&](Pfn p) { return p == page.pfn; }),
                         cache.partial.end());
     const Pfn page_pfn = page.pfn;
-    slab_pages_.erase(it);
+    if (spare_pages_.size() < kMaxSparePages) {
+      spare_pages_.push_back(std::move(page));
+    }
+    slab_pages_.Erase(page_pfn.value);
     SPV_RETURN_IF_ERROR(page_alloc_.FreePages(page_pfn));
   }
   return OkStatus();
@@ -214,8 +225,8 @@ std::optional<ObjectInfo> SlabAllocator::Lookup(Kva kva) const {
   const Pfn pfn = phys->pfn();
   std::lock_guard<MaybeMutex> guard(mu_);
 
-  if (auto it = slab_pages_.find(pfn.value); it != slab_pages_.end()) {
-    const SlabPage& page = it->second;
+  if (const SlabPage* found = slab_pages_.Find(pfn.value); found != nullptr) {
+    const SlabPage& page = *found;
     const uint32_t slot = static_cast<uint32_t>(phys->page_offset() / page.object_size);
     if (slot < page.capacity && page.occupied[slot]) {
       return ObjectInfo{SlotKva(page, slot), page.object_size, page.cache_id, page.sites[slot]};
@@ -239,8 +250,8 @@ std::optional<ObjectInfo> SlabAllocator::Lookup(Kva kva) const {
 std::vector<ObjectInfo> SlabAllocator::ObjectsOnPage(Pfn pfn) const {
   std::lock_guard<MaybeMutex> guard(mu_);
   std::vector<ObjectInfo> out;
-  if (auto it = slab_pages_.find(pfn.value); it != slab_pages_.end()) {
-    const SlabPage& page = it->second;
+  if (const SlabPage* found = slab_pages_.Find(pfn.value); found != nullptr) {
+    const SlabPage& page = *found;
     for (uint32_t slot = 0; slot < page.capacity; ++slot) {
       if (page.occupied[slot]) {
         out.push_back(

@@ -22,7 +22,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/flat_map.h"
 #include "base/maybe_mutex.h"
+#include "base/site.h"
 #include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -47,7 +49,7 @@ struct ObjectInfo {
   Kva kva;            // object base
   uint64_t size;      // size-class size (>= requested size)
   uint16_t cache_id;  // index into kKmallocSizeClasses, or 0xffff for large
-  std::string site;   // allocating location
+  std::string_view site;  // allocating location (a Site's name)
 };
 
 class SlabAllocator {
@@ -63,7 +65,7 @@ class SlabAllocator {
   // Allocates `size` bytes; returns the direct-map KVA of the object. Sizes
   // above one page fall through to the buddy allocator (like kmalloc_large).
   // Memory is zeroed (kzalloc semantics keep tests deterministic).
-  Result<Kva> Kmalloc(uint64_t size, std::string_view site = "unknown");
+  Result<Kva> Kmalloc(uint64_t size, Site site = "unknown");
 
   Status Kfree(Kva kva);
 
@@ -105,14 +107,14 @@ class SlabAllocator {
     uint32_t used = 0;
     std::vector<bool> occupied;          // slot -> live?
     std::vector<uint16_t> free_stack;    // LIFO of free slots
-    std::vector<std::string> sites;      // slot -> allocating site
+    std::vector<std::string_view> sites;  // slot -> allocating Site's name
   };
 
   struct LargeAlloc {
     Pfn head;
     uint64_t size;
     unsigned order;
-    std::string site;
+    std::string_view site;
   };
 
   struct Cache {
@@ -122,7 +124,7 @@ class SlabAllocator {
     std::deque<Pfn> partial;  // pages with at least one free slot (MRU front)
   };
 
-  Result<Kva> KmallocLarge(uint64_t size, std::string_view site);
+  Result<Kva> KmallocLarge(uint64_t size, Site site);
   Result<Pfn> NewSlabPage(Cache& cache);
   Kva SlotKva(const SlabPage& page, uint32_t slot) const;
   void Notify(bool alloc, Kva kva, uint64_t size, std::string_view site);
@@ -134,7 +136,10 @@ class SlabAllocator {
 
   mutable MaybeMutex mu_;  // guards caches_/slab_pages_/large_ when engaged
   std::array<Cache, kKmallocSizeClasses.size()> caches_;
-  std::unordered_map<uint64_t, SlabPage> slab_pages_;   // pfn -> slab page
+  FlatMap<uint64_t, SlabPage> slab_pages_;              // pfn -> slab page
+  // Records of released slab pages, recycled by NewSlabPage.
+  static constexpr size_t kMaxSparePages = 16;
+  std::vector<SlabPage> spare_pages_;
   std::unordered_map<uint64_t, LargeAlloc> large_;      // head pfn -> large alloc
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected

@@ -32,6 +32,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "base/clock.h"
@@ -399,6 +400,38 @@ class Hub {
   std::atomic<bool> drainer_stop_{false};
   std::thread drainer_;
 };
+
+// A named Hub metric bumped on a per-op path. The name is looked up on the
+// first bump and the metric cached, so later bumps skip the registry's
+// string-keyed map and its lock. Lookup is deferred to the first bump, not
+// done at attach, so a metric that never fires is never registered and the
+// exports list exactly the metrics `hub.counter(name).Add()` in the same
+// place would. The cache is keyed by the hub, so an owner that switches hubs
+// needs no reset.
+template <typename Metric>
+class CachedMetric {
+ public:
+  explicit constexpr CachedMetric(std::string_view name) : name_(name) {}
+
+  Metric& Get(Hub& hub) {
+    if (hub_.load() != &hub) {
+      if constexpr (std::is_same_v<Metric, Counter>) {
+        metric_.store(&hub.counter(name_));
+      } else {
+        metric_.store(&hub.histogram(name_));
+      }
+      hub_.store(&hub);
+    }
+    return *metric_.load();
+  }
+
+ private:
+  std::string_view name_;
+  std::atomic<Hub*> hub_{nullptr};
+  std::atomic<Metric*> metric_{nullptr};
+};
+using CachedCounter = CachedMetric<Counter>;
+using CachedHistogram = CachedMetric<Histogram>;
 
 // CSV-escapes `field` (quotes it when it contains a comma, quote or newline).
 std::string CsvEscape(std::string_view field);

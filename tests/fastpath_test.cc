@@ -12,7 +12,7 @@
 
 #include "base/rng.h"
 #include "core/machine.h"
-#include "dma/mapping_index.h"
+#include "base/flat_map.h"
 #include "iommu/io_page_table.h"
 #include "iommu/iommu.h"
 #include "iommu/iova_allocator.h"
@@ -224,10 +224,21 @@ TEST(IovaCoalesceTest, ChurnDoesNotGrowTheTree) {
   EXPECT_EQ(probe->value + 66 * kPageSize, IovaAllocator::kDefaultWindowEnd);
 }
 
-// ---- MappingIndex ------------------------------------------------------------------
+// ---- Mapping index (base::FlatMap) ------------------------------------------------
+
+// The DMA mapping index is a base::FlatMap keyed by (device, IOVA page).
+struct PairKey {
+  uint32_t device = 0;
+  uint64_t page = 0;
+  bool operator==(const PairKey&) const = default;
+};
+struct PairKeyDigest {
+  uint64_t operator()(const PairKey& k) const { return k.page ^ (uint64_t{k.device} << 40); }
+};
+using PairIndex = FlatMap<PairKey, uint64_t, PairKeyDigest>;
 
 TEST(MappingIndexTest, InsertFindEraseAgainstReferenceMap) {
-  dma::MappingIndex<uint64_t> index;
+  PairIndex index;
   std::map<std::pair<uint32_t, uint64_t>, uint64_t> reference;
   Xoshiro256 rng{7};
   for (int op = 0; op < 50000; ++op) {
@@ -236,12 +247,12 @@ TEST(MappingIndexTest, InsertFindEraseAgainstReferenceMap) {
     switch (rng.NextBelow(3)) {
       case 0: {
         const uint64_t value = rng.Next();
-        index.InsertOrAssign(device, page, value);
+        index.InsertOrAssign(PairKey{device, page}, value);
         reference[{device, page}] = value;
         break;
       }
       case 1: {
-        const uint64_t* found = index.Find(device, page);
+        const uint64_t* found = index.Find(PairKey{device, page});
         auto it = reference.find({device, page});
         if (it == reference.end()) {
           EXPECT_EQ(found, nullptr);
@@ -252,29 +263,55 @@ TEST(MappingIndexTest, InsertFindEraseAgainstReferenceMap) {
         break;
       }
       case 2: {
-        EXPECT_EQ(index.Erase(device, page), reference.erase({device, page}) > 0);
+        EXPECT_EQ(index.Erase(PairKey{device, page}), reference.erase({device, page}) > 0);
         break;
       }
     }
     ASSERT_EQ(index.size(), reference.size());
   }
+  // Every surviving entry is still reachable after the backward-shift erases.
   uint64_t visited = 0;
-  index.ForEach([&](const uint64_t&) { ++visited; });
+  index.ForEach([&](const PairKey& key, const uint64_t& value) {
+    ++visited;
+    auto it = reference.find({key.device, key.page});
+    ASSERT_NE(it, reference.end());
+    EXPECT_EQ(value, it->second);
+    EXPECT_EQ(index.Find(key), &value);
+  });
   EXPECT_EQ(visited, reference.size());
 }
 
 TEST(MappingIndexTest, GrowsThroughRehash) {
-  dma::MappingIndex<uint64_t> index{16};
+  PairIndex index{16};
   for (uint64_t i = 0; i < 10000; ++i) {
-    index.InsertOrAssign(1, i, i * 3);
+    index.InsertOrAssign(PairKey{1, i}, i * 3);
   }
   EXPECT_EQ(index.size(), 10000u);
   for (uint64_t i = 0; i < 10000; ++i) {
-    const uint64_t* found = index.Find(1, i);
+    const uint64_t* found = index.Find(PairKey{1, i});
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(*found, i * 3);
   }
-  EXPECT_EQ(index.Find(2, 1), nullptr);
+  EXPECT_EQ(index.Find(PairKey{2, 1}), nullptr);
+}
+
+TEST(MappingIndexTest, ChurnAtConstantSizeNeverGrows) {
+  // Backward-shift deletion leaves no tombstones: a live set that stays the
+  // same size keeps the same slot array however long it churns.
+  PairIndex index{64};
+  const size_t capacity = index.capacity();
+  for (uint64_t i = 0; i < 64; ++i) {
+    index.InsertOrAssign(PairKey{0, i}, i);
+  }
+  for (uint64_t i = 64; i < 100000; ++i) {
+    ASSERT_TRUE(index.Erase(PairKey{0, i - 64}));
+    index.InsertOrAssign(PairKey{0, i}, i);
+  }
+  EXPECT_EQ(index.size(), 64u);
+  EXPECT_EQ(index.capacity(), capacity);
+  for (uint64_t i = 100000 - 64; i < 100000; ++i) {
+    ASSERT_NE(index.Find(PairKey{0, i}), nullptr);
+  }
 }
 
 // ---- Walk cache --------------------------------------------------------------------

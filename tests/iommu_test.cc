@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <vector>
@@ -174,6 +177,135 @@ TEST(IotlbTest, StatsTrackHitsAndMisses) {
   (void)tlb.Lookup(kNic, Iova{0x1000});
   EXPECT_EQ(tlb.hits(), 1u);
   EXPECT_EQ(tlb.misses(), 1u);
+}
+
+TEST(IotlbTest, ZeroCapacityCachesNothing) {
+  Iotlb tlb{0};
+  tlb.Insert(kNic, Iova{0x1000}, PteEntry{Pfn{1}, AccessRights::kRead});
+  EXPECT_EQ(tlb.size(), 0u);
+  EXPECT_FALSE(tlb.Lookup(kNic, Iova{0x1000}).has_value());
+  tlb.InvalidatePage(kNic, Iova{0x1000});
+  tlb.InvalidateDevice(kNic);
+  tlb.InvalidateAll();
+  EXPECT_EQ(tlb.hits(), 0u);
+  EXPECT_EQ(tlb.misses(), 1u);
+  EXPECT_EQ(tlb.invalidations(), 3u);
+}
+
+// Reference model: the std::list + std::map LRU the IOTLB used to be built
+// from. Front of `lru` is the most recently used key; the back is the victim.
+class ListLruModel {
+ public:
+  using Key = std::pair<uint32_t, uint64_t>;  // (device, IOVA page base)
+  explicit ListLruModel(size_t capacity) : capacity_(capacity) {}
+
+  std::optional<PteEntry> Lookup(Key key) {
+    auto it = map_.find(key);
+    if (it == map_.end()) {
+      ++misses;
+      return std::nullopt;
+    }
+    ++hits;
+    lru_.splice(lru_.begin(), lru_, it->second.second);
+    return it->second.first;
+  }
+  void Insert(Key key, PteEntry pte) {
+    if (capacity_ == 0) {
+      return;
+    }
+    if (auto it = map_.find(key); it != map_.end()) {
+      it->second.first = pte;
+      lru_.splice(lru_.begin(), lru_, it->second.second);
+      return;
+    }
+    if (map_.size() >= capacity_) {
+      map_.erase(lru_.back());
+      lru_.pop_back();
+    }
+    lru_.push_front(key);
+    map_[key] = {pte, lru_.begin()};
+  }
+  void InvalidatePage(Key key) {
+    if (auto it = map_.find(key); it != map_.end()) {
+      lru_.erase(it->second.second);
+      map_.erase(it);
+    }
+    ++invalidations;
+  }
+  void InvalidateDevice(uint32_t device) {
+    for (auto it = map_.begin(); it != map_.end();) {
+      if (it->first.first == device) {
+        lru_.erase(it->second.second);
+        it = map_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    ++invalidations;
+  }
+  void InvalidateAll() {
+    map_.clear();
+    lru_.clear();
+    ++invalidations;
+  }
+  size_t size() const { return map_.size(); }
+  const std::list<Key>& lru() const { return lru_; }
+
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t invalidations = 0;
+
+ private:
+  size_t capacity_;
+  std::list<Key> lru_;
+  std::map<Key, std::pair<PteEntry, std::list<Key>::iterator>> map_;
+};
+
+TEST(IotlbTest, MatchesListLruModelStepByStep) {
+  for (size_t capacity : {size_t{1}, size_t{4}, size_t{256}}) {
+    SCOPED_TRACE(capacity);
+    Iotlb tlb{capacity};
+    ListLruModel model{capacity};
+    Xoshiro256 rng{0x10b + capacity};
+    for (int step = 0; step < 100000; ++step) {
+      const uint32_t device = static_cast<uint32_t>(rng.NextBelow(3)) + 1;
+      const uint64_t page = rng.NextBelow(64) << kPageShift;
+      const uint64_t pick = rng.NextBelow(100);
+      if (pick < 45) {
+        std::optional<PteEntry> got = tlb.Lookup(DeviceId{device}, Iova{page});
+        std::optional<PteEntry> want = model.Lookup({device, page});
+        ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+        if (want.has_value()) {
+          ASSERT_EQ(got->pfn.value, want->pfn.value) << "step " << step;
+          ASSERT_EQ(got->rights, want->rights) << "step " << step;
+        }
+      } else if (pick < 85) {
+        const PteEntry pte{Pfn{rng.NextBelow(1 << 20)},
+                           rng.NextBelow(2) == 0 ? AccessRights::kRead : AccessRights::kWrite};
+        tlb.Insert(DeviceId{device}, Iova{page}, pte);
+        model.Insert({device, page}, pte);
+      } else if (pick < 97) {
+        tlb.InvalidatePage(DeviceId{device}, Iova{page});
+        model.InvalidatePage({device, page});
+      } else if (pick < 99) {
+        tlb.InvalidateDevice(DeviceId{device});
+        model.InvalidateDevice(device);
+      } else {
+        tlb.InvalidateAll();
+        model.InvalidateAll();
+      }
+      ASSERT_EQ(tlb.size(), model.size()) << "step " << step;
+      ASSERT_EQ(tlb.hits(), model.hits) << "step " << step;
+      ASSERT_EQ(tlb.misses(), model.misses) << "step " << step;
+      ASSERT_EQ(tlb.invalidations(), model.invalidations) << "step " << step;
+    }
+    // Same recency order, most recent first.
+    std::vector<ListLruModel::Key> order;
+    tlb.ForEachEntry([&](DeviceId d, Iova iova, const PteEntry&) {
+      order.emplace_back(d.value, iova.value);
+    });
+    EXPECT_EQ(order, std::vector<ListLruModel::Key>(model.lru().begin(), model.lru().end()));
+  }
 }
 
 // ---- IovaAllocator ------------------------------------------------------------------

@@ -209,6 +209,19 @@ TEST_F(NvmePrpTest, CapacityBoundsEnforced) {
   ASSERT_TRUE(rig_.machine.slab().Kfree(*buf).ok());
 }
 
+TEST_F(NvmePrpTest, WrappingLbaRejected) {
+  // slba + nblocks wraps to a small number; it must still count as beyond
+  // the device, not as LBA 0.
+  auto buf = rig_.machine.slab().Kmalloc(2 * kLbaSize, "nvme_wrap");
+  ASSERT_TRUE(buf.ok());
+  EXPECT_EQ(rig_.driver.ReadBlocks(UINT64_MAX, 1, *buf).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(rig_.driver.WriteBlocks(UINT64_MAX - 1, 2, *buf).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(rig_.controller.stats().transfer_errors, 0u);
+  ASSERT_TRUE(rig_.machine.slab().Kfree(*buf).ok());
+}
+
 // ---- Sub-page PRP segment placement (the co-location surface) -------------------
 
 TEST(NvmePrpPlacementTest, FragSegmentsShareAPageUnderDistinctIovas) {
