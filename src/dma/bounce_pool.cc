@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "base/align.h"
-#include "dma/bounce.h"  // kCopyCyclesPerCacheLine
 
 namespace spv::dma {
 
@@ -267,6 +266,7 @@ Result<Iova> BouncePool::MapInternal(DeviceId device, Kva kva, uint64_t len,
     return ResourceExhausted("bounce pool exhausted");
   }
   Active active{first, need, kva, len, dir, site, persistent};
+  const uint64_t before = copy_cycles_;
   SPV_RETURN_IF_ERROR(Scrub(pool, active));
   if (dir == DmaDirection::kToDevice || dir == DmaDirection::kBidirectional) {
     SPV_RETURN_IF_ERROR(CopyIn(pool, active));
@@ -276,9 +276,9 @@ Result<Iova> BouncePool::MapInternal(DeviceId device, Kva kva, uint64_t len,
   }
   const Iova slot_base = pool.base + first * kPageSize;
   const Iova iova = slot_base + kva.page_offset();
-  const uint64_t spent = kCopyCyclesPerCacheLine * (AlignUp(len, 64) / 64);
   pool.active_nodes.Put(pool.active, slot_base.value, active);
-  PublishEvent(telemetry::EventKind::kBounceMap, device, active, iova, len, spent);
+  PublishEvent(telemetry::EventKind::kBounceMap, device, active, iova, len,
+               copy_cycles_ - before);
   return iova;
 }
 

@@ -1,11 +1,11 @@
-// Policy-routed bounce-buffer pool (Markuze et al. [47], wired into the
-// trust policy of spv::policy).
+// Bounce-buffer DMA, the paper's §8 defence (Markuze et al. [47]: "true
+// IOMMU protection from DMA attacks — when copy is faster than zero copy"),
+// wired into the trust policy of spv::policy.
 //
-// BounceDma (dma/bounce.h) models the paper's §8 backend as a *wholesale*
-// replacement for the DMA API. This pool is the composable form: DmaApi
-// consults a DmaRouter per map and diverts only the flagged devices'
-// transfers through dedicated pages, so trusted devices keep the zero-copy
-// fast path while untrusted ones are structurally confined:
+// Instead of mapping the caller's buffer (and thereby its whole page), DmaApi
+// consults a DmaRouter per map and diverts the flagged devices' transfers
+// through dedicated pages, so trusted devices keep the zero-copy fast path
+// while untrusted ones are structurally confined:
 //
 //   * sub-page co-location (paper types (a)/(d)) is eliminated — the device
 //     only ever sees dedicated whole pages scrubbed before each I/O, and
@@ -40,6 +40,10 @@
 
 namespace spv::dma {
 
+// Simulated copy cost (§8 discussion: copying is cheap relative to a 2000-
+// cycle IOTLB invalidation for packet-sized buffers).
+inline constexpr uint64_t kCopyCyclesPerCacheLine = 2;
+
 // Per-map routing decision, answered by the trust policy (spv::policy
 // implements this). Lives in the dma layer so DmaApi never links against
 // the policy engine — the dependency points the other way.
@@ -48,17 +52,9 @@ class DmaRouter {
   virtual ~DmaRouter() = default;
 
   // True if `device` must not receive direct mappings: DmaApi::MapSingle
-  // diverts the transfer through the BouncePool instead.
+  // diverts the transfer through the BouncePool instead, and queue-protocol
+  // drivers run their rings on persistent sync'd slots (kBounceSync).
   virtual bool ShouldBounce(DeviceId device) const = 0;
-
-  // The service mode queue-protocol drivers should run `device` under. The
-  // default derives it from ShouldBounce (transient bounces, the PR 8
-  // behaviour); the policy engine overrides this to hand untrusted devices
-  // the sync-ring degraded mode instead of letting their rings starve.
-  virtual ServiceMode ServiceModeFor(DeviceId device) const {
-    return ShouldBounce(device) ? ServiceMode::kBounceTransient
-                                : ServiceMode::kZeroCopy;
-  }
 };
 
 class BouncePool {

@@ -3,11 +3,19 @@
 #include <algorithm>
 #include <array>
 #include <mutex>
+#include <tuple>
 
 #include "dma/bounce_pool.h"
 #include "forensics/flight_recorder.h"
 
 namespace spv::dma {
+namespace {
+
+bool ByDeviceIova(const DmaMapping& a, const DmaMapping& b) {
+  return std::tie(a.device.value, a.iova.value) < std::tie(b.device.value, b.iova.value);
+}
+
+}  // namespace
 
 iommu::AccessRights RightsFor(DmaDirection dir) {
   switch (dir) {
@@ -39,42 +47,21 @@ std::string_view ServiceModeName(ServiceMode mode) {
       return "zero_copy";
     case ServiceMode::kBounceSync:
       return "bounce_sync";
-    case ServiceMode::kBounceTransient:
-      return "bounce_transient";
   }
   return "?";
 }
 
 DmaApi::DmaApi(iommu::Iommu& iommu, const mem::KernelLayout& layout, telemetry::Hub* hub)
-    : iommu_(iommu),
-      layout_(layout),
-      use_hash_index_(iommu.fast_path().hash_index_enabled),
-      hub_(hub) {}
+    : iommu_(iommu), layout_(layout), hub_(hub) {}
 
 void DmaApi::TrackMapping(const IovaKey& key, const DmaMapping& mapping) {
   std::lock_guard<MaybeMutex> guard(mu_);
-  if (use_hash_index_) {
-    index_.InsertOrAssign(key, mapping);
-  } else {
-    by_iova_[key] = mapping;
-  }
-}
-
-const DmaMapping* DmaApi::LookupMapping(const IovaKey& key) const {
-  if (use_hash_index_) {
-    return index_.Find(key);
-  }
-  auto it = by_iova_.find(key);
-  return it == by_iova_.end() ? nullptr : &it->second;
+  index_.InsertOrAssign(key, mapping);
 }
 
 void DmaApi::ForgetMapping(const IovaKey& key) {
   std::lock_guard<MaybeMutex> guard(mu_);
-  if (use_hash_index_) {
-    index_.Erase(key);
-  } else {
-    by_iova_.erase(key);
-  }
+  index_.Erase(key);
 }
 
 telemetry::Hub& DmaApi::telemetry() {
@@ -159,10 +146,9 @@ Result<Iova> DmaApi::MapPersistent(DeviceId device, Kva kva, uint64_t len,
 }
 
 ServiceMode DmaApi::service_mode(DeviceId device) const {
-  if (router_ == nullptr || bounce_pool_ == nullptr) {
-    return ServiceMode::kZeroCopy;
-  }
-  return router_->ServiceModeFor(device);
+  return router_ != nullptr && bounce_pool_ != nullptr && router_->ShouldBounce(device)
+             ? ServiceMode::kBounceSync
+             : ServiceMode::kZeroCopy;
 }
 
 Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirection dir) {
@@ -181,7 +167,7 @@ Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirectio
   DmaMapping mapping;
   {
     std::lock_guard<MaybeMutex> guard(mu_);
-    const DmaMapping* found = LookupMapping(key);
+    const DmaMapping* found = index_.Find(key);
     if (found == nullptr) {
       return FailedPrecondition("dma_unmap_single of unmapped IOVA");
     }
@@ -327,37 +313,20 @@ std::vector<DmaMapping> DmaApi::MappingsForPfn(Pfn pfn) const {
       out.push_back(mapping);
     }
   };
-  if (use_hash_index_) {
-    index_.ForEach([&](const IovaKey&, const DmaMapping& mapping) { collect(mapping); });
-    // The flat table iterates in probe order; sort to match the std::map
-    // path so consumers see a deterministic result either way.
-    std::sort(out.begin(), out.end(), [](const DmaMapping& a, const DmaMapping& b) {
-      return std::tie(a.device.value, a.iova.value) < std::tie(b.device.value, b.iova.value);
-    });
-  } else {
-    for (const auto& [key, mapping] : by_iova_) {
-      collect(mapping);
-    }
-  }
+  index_.ForEach([&](const IovaKey&, const DmaMapping& mapping) { collect(mapping); });
+  // The flat table iterates in probe order; sort so consumers see a
+  // deterministic, ascending (device, iova) result.
+  std::sort(out.begin(), out.end(), ByDeviceIova);
   return out;
 }
 
 void DmaApi::ForEachMapping(const std::function<void(const DmaMapping&)>& fn) const {
   std::lock_guard<MaybeMutex> guard(mu_);
-  if (use_hash_index_) {
-    // The flat table iterates in probe order; sort for a deterministic visit.
-    std::vector<DmaMapping> all;
-    index_.ForEach(
-        [&](const IovaKey&, const DmaMapping& mapping) { all.push_back(mapping); });
-    std::sort(all.begin(), all.end(), [](const DmaMapping& a, const DmaMapping& b) {
-      return std::tie(a.device.value, a.iova.value) < std::tie(b.device.value, b.iova.value);
-    });
-    for (const DmaMapping& mapping : all) {
-      fn(mapping);
-    }
-    return;
-  }
-  for (const auto& [key, mapping] : by_iova_) {
+  // The flat table iterates in probe order; sort for a deterministic visit.
+  std::vector<DmaMapping> all;
+  index_.ForEach([&](const IovaKey&, const DmaMapping& mapping) { all.push_back(mapping); });
+  std::sort(all.begin(), all.end(), ByDeviceIova);
+  for (const DmaMapping& mapping : all) {
     fn(mapping);
   }
 }
@@ -366,7 +335,7 @@ std::optional<DmaMapping> DmaApi::FindMapping(DeviceId device, Iova iova) const 
   {
     std::lock_guard<MaybeMutex> guard(mu_);
     const DmaMapping* found =
-        LookupMapping(IovaKey{device.value, iova.PageBase().value >> kPageShift});
+        index_.Find(IovaKey{device.value, iova.PageBase().value >> kPageShift});
     if (found != nullptr) {
       return *found;
     }

@@ -15,21 +15,20 @@
 //   also false under type (c) aliasing, in any mode.
 //
 // Ownership semantics: a mapped buffer belongs to the device until unmapped.
-// The tracker records every live mapping so D-KASAN and the ground-truth
-// analyses can ask "which mappings cover this page?".
+// The tracker (one flat (device, iova page) index) records every live mapping
+// so D-KASAN and the ground-truth analyses can ask "which mappings cover this
+// page?".
 
 #ifndef SPV_DMA_DMA_API_H_
 #define SPV_DMA_DMA_API_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "base/flat_map.h"
@@ -67,9 +66,8 @@ std::string DmaDirectionName(DmaDirection dir);
 // diversion is unchanged, but drivers that keep *persistent* ring mappings
 // ask `DmaApi::service_mode()` and switch protocol accordingly.
 enum class ServiceMode : uint8_t {
-  kZeroCopy,         // direct mappings, device sees kernel pages (trusted)
-  kBounceSync,       // persistent bounce slots + explicit sync_for_cpu/device
-  kBounceTransient,  // per-transfer bounce map/unmap (PR 8 behaviour)
+  kZeroCopy,    // direct mappings, device sees kernel pages (trusted)
+  kBounceSync,  // persistent bounce slots + explicit sync_for_cpu/device
 };
 
 std::string_view ServiceModeName(ServiceMode mode);
@@ -98,19 +96,18 @@ class DmaApi {
   // machine-wide Hub here instead.
   DmaApi(iommu::Iommu& iommu, const mem::KernelLayout& layout,
          telemetry::Hub* hub = nullptr);
-  virtual ~DmaApi() = default;
 
   DmaApi(const DmaApi&) = delete;
   DmaApi& operator=(const DmaApi&) = delete;
 
   // dma_map_single: maps [kva, kva+len) for `device`; returns the IOVA
-  // corresponding to `kva` (same sub-page offset). Virtual so alternative
-  // backends (bounce buffers, §8 [47]) can replace the zero-copy path.
-  virtual Result<Iova> MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
-                                 Site site = "dma_map_single");
+  // corresponding to `kva` (same sub-page offset). Devices the router flags
+  // get a bounce slot instead (§8 [47], see set_policy).
+  Result<Iova> MapSingle(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
+                         Site site = "dma_map_single");
 
   // dma_unmap_single: releases the mapping created for this IOVA.
-  virtual Status UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirection dir);
+  Status UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirection dir);
 
   // Persistent-mapping variant for ring/slot buffers that live across many
   // I/Os (SQ/CQ rings, RX slots). For trusted devices this is MapSingle with
@@ -121,9 +118,9 @@ class DmaApi {
   Result<Iova> MapPersistent(DeviceId device, Kva kva, uint64_t len, DmaDirection dir,
                              Site site = "dma_map_persistent");
 
-  // The trust policy's service-mode verdict for `device` (kZeroCopy when no
-  // policy is installed). Queue-protocol drivers poll this to pick their ring
-  // protocol and to notice live demotions/promotions.
+  // kBounceSync when the installed router bounces `device`, else kZeroCopy
+  // (also when no policy is installed). Queue-protocol drivers poll this to
+  // pick their ring protocol and to notice live demotions/promotions.
   ServiceMode service_mode(DeviceId device) const;
 
   // dma_sync_single_for_cpu / _for_device: ownership handoff without
@@ -154,12 +151,12 @@ class DmaApi {
   // Live mappings (by any device) that cover physical page `pfn`.
   std::vector<DmaMapping> MappingsForPfn(Pfn pfn) const;
   std::optional<DmaMapping> FindMapping(DeviceId device, Iova iova) const;
-  // Visits every live mapping in ascending (device, iova) order regardless of
-  // which tracker store is active. For audits (Machine::CheckInvariants).
+  // Visits every live mapping in ascending (device, iova) order. For audits
+  // (Machine::CheckInvariants).
   void ForEachMapping(const std::function<void(const DmaMapping&)>& fn) const;
   uint64_t live_mappings() const {
     std::lock_guard<MaybeMutex> guard(mu_);
-    return use_hash_index_ ? index_.size() : by_iova_.size();
+    return index_.size();
   }
 
   // Engages the tracker lock for ExecMode::kThreads (one-way, pre-
@@ -213,9 +210,6 @@ class DmaApi {
     uint32_t device;
     uint64_t iova_page;
     bool operator==(const IovaKey&) const = default;
-    bool operator<(const IovaKey& other) const {
-      return std::tie(device, iova_page) < std::tie(other.device, other.iova_page);
-    }
   };
   struct IovaKeyDigest {
     uint64_t operator()(const IovaKey& k) const {
@@ -225,21 +219,16 @@ class DmaApi {
 
   void Notify(const DmaMapping& mapping, bool map);
 
-  // The mapping tracker behind MapSingle/UnmapSingle/FindMapping. Which
-  // store is live is fixed at construction from the IOMMU's FastPathConfig;
-  // both have identical observable semantics.
+  // The mapping tracker behind MapSingle/UnmapSingle/FindMapping.
   void TrackMapping(const IovaKey& key, const DmaMapping& mapping);
-  const DmaMapping* LookupMapping(const IovaKey& key) const;
   void ForgetMapping(const IovaKey& key);
 
   iommu::Iommu& iommu_;
   const mem::KernelLayout& layout_;
-  bool use_hash_index_;
-  // Guards the mapping tracker (index_ / by_iova_) when engaged; map/unmap
-  // hold it only around tracker ops, never across IOMMU calls.
+  // Guards the mapping tracker (index_) when engaged; map/unmap hold it only
+  // around tracker ops, never across IOMMU calls.
   mutable MaybeMutex mu_;
-  FlatMap<IovaKey, DmaMapping, IovaKeyDigest> index_{64};  // fast path: O(1)
-  std::map<IovaKey, DmaMapping> by_iova_;   // slow path (hash_index_enabled=false)
+  FlatMap<IovaKey, DmaMapping, IovaKeyDigest> index_{64};
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected
   trace::Tracer* tracer_ = nullptr;

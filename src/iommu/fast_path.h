@@ -2,10 +2,14 @@
 //
 // One struct gates every optimization added on top of the architecturally
 // faithful slow path, so a single binary can run both configurations and an
-// A/B comparison (bench_map_unmap) is honest: the toggles select data
-// structures, never semantics. The fast path must be *observably equivalent*
-// to the slow path — same IOVAs-are-distinct substrate for the type (c)
-// vulnerability, same deferred-invalidation window, same fault behaviour.
+// A/B comparison (bench_map_unmap) is honest. The toggles never change
+// semantics: the fast path must be *observably equivalent* to the slow path
+// — same IOVAs-are-distinct substrate for the type (c) vulnerability, same
+// deferred-invalidation window, same fault behaviour. They may change cost:
+// a walk-cache hit charges one page-walk level instead of up to four, so
+// turning the walk cache off raises the simulated cycles of a translation
+// miss. The rcache charges no cycles itself, but it changes which IOVAs are
+// handed out.
 
 #ifndef SPV_IOMMU_FAST_PATH_H_
 #define SPV_IOMMU_FAST_PATH_H_
@@ -19,9 +23,6 @@ struct FastPathConfig {
   // Linux-style per-CPU IOVA magazine caches (iova rcache) in front of the
   // range allocator. Off = every Alloc/Free walks the free-range tree.
   bool rcache_enabled = true;
-
-  // Open-addressed (device, iova_page) index in DmaApi instead of std::map.
-  bool hash_index_enabled = true;
 
   // Last-level walk cache in IoPageTable: repeated translations of hot 2 MiB
   // regions skip the multi-level radix descent.

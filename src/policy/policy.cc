@@ -237,23 +237,6 @@ bool PolicyEngine::ShouldBounce(DeviceId device) const {
   return it != devices_.end() && it->second.trust == TrustState::kUntrusted;
 }
 
-dma::ServiceMode PolicyEngine::ServiceModeFor(DeviceId device) const {
-  if (!config_.enabled) {
-    return dma::ServiceMode::kZeroCopy;
-  }
-  auto it = devices_.find(device.value);
-  if (it == devices_.end() || it->second.trust != TrustState::kUntrusted) {
-    // Probation devices keep direct mappings (clamped service limits do the
-    // containment); only the untrusted rung is degraded.
-    return dma::ServiceMode::kZeroCopy;
-  }
-  const Device& entry = it->second;
-  if (entry.quirk != nullptr && entry.quirk->untrusted_service.has_value()) {
-    return *entry.quirk->untrusted_service;
-  }
-  return config_.untrusted_service;
-}
-
 TrustState PolicyEngine::state(DeviceId device) const {
   auto it = devices_.find(device.value);
   // Unregistered devices are outside the policy's remit; they behave as
@@ -291,8 +274,6 @@ std::string PolicyEngine::PostureJson(const std::string& indent) const {
   const iommu::FastPathConfig& fp = iommu_.fast_path();
   out += i1 + std::string("\"iova_rcache\": ") + (fp.rcache_enabled ? "true" : "false") +
          ",\n";
-  out += i1 + std::string("\"mapping_hash_index\": ") +
-         (fp.hash_index_enabled ? "true" : "false") + ",\n";
   out += i1 + std::string("\"policy_enabled\": ") + (config_.enabled ? "true" : "false") +
          ",\n";
   out += i1 + "\"default_trust\": \"" + std::string(TrustStateName(config_.default_trust)) +
@@ -324,8 +305,9 @@ std::string PolicyEngine::PostureJson(const std::string& indent) const {
            ",\n";
     // Degraded-service stats: which protocol the device would run under
     // right now, and how much sync-ring traffic it has actually served.
-    out += i3 + "\"service_mode\": \"" +
-           std::string(dma::ServiceModeName(ServiceModeFor(device))) + "\",\n";
+    const dma::ServiceMode mode =
+        ShouldBounce(device) ? dma::ServiceMode::kBounceSync : dma::ServiceMode::kZeroCopy;
+    out += i3 + "\"service_mode\": \"" + std::string(dma::ServiceModeName(mode)) + "\",\n";
     out += i3 + "\"persistent_bounces\": " +
            std::to_string(pool_.persistent_bounces(device)) + ",\n";
     out += i3 + "\"bounce_syncs_for_cpu\": " + std::to_string(pool_.syncs_for_cpu(device)) +

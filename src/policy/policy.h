@@ -15,8 +15,8 @@
 //   kProbation  — direct mappings return, but the driver runs with
 //                 tightened service limits (ring occupancy, poll budget)
 //                 from a quirks table keyed on device identity.
-//   kTrusted    — full service: PR-2 fast path (rcache + hash index), no
-//                 bounce, driver defaults restored.
+//   kTrusted    — full service: PR-2 fast path (IOVA rcache), no bounce,
+//                 driver defaults restored.
 //
 // Demotions are driven by the same signals the recovery subsystem consumes —
 // quarantines, health breaches, detector findings (D-KASAN, SPADE), stale-
@@ -77,10 +77,6 @@ struct Quirk {
   TrustState initial_trust = TrustState::kUntrusted;
   // Bounce pool size while untrusted (0 = engine default).
   uint64_t bounce_pages = 0;
-  // How this device is serviced while untrusted (unset = engine default).
-  // kBounceSync keeps its queue protocols alive on persistent sync'd slots;
-  // kBounceTransient is the PR 8 per-transfer bounce (rings starve).
-  std::optional<dma::ServiceMode> untrusted_service;
   // Service limits applied on kProbation (zero fields = driver default).
   recovery::DmaPolicyLimits probation_limits;
   // Per-device recovery tuning (scorer weights, backoff, retry budget) the
@@ -98,12 +94,6 @@ class PolicyEngine : public dma::DmaRouter {
     // tests that predate the engine run with it disabled instead).
     TrustState default_trust = TrustState::kUntrusted;
     uint64_t bounce_pages = dma::BouncePool::kDefaultPoolPages;
-    // Degraded service mode for untrusted devices. kBounceSync by default:
-    // queue-protocol drivers keep serving through persistent sync'd bounce
-    // slots instead of starving behind per-transfer bounces. MapSingle's
-    // transient diversion is unchanged either way — this only steers
-    // drivers that ask DmaApi::service_mode().
-    dma::ServiceMode untrusted_service = dma::ServiceMode::kBounceSync;
     // Limits applied on kProbation when no quirk overrides them.
     recovery::DmaPolicyLimits probation_limits{SimClock::UsToCycles(500), 16};
     // Hysteresis: after a demotion, Promote() is refused this long.
@@ -151,12 +141,10 @@ class PolicyEngine : public dma::DmaRouter {
   // workload loop; returns the number of demotions performed.
   uint32_t Poll();
 
-  // dma::DmaRouter: untrusted registered devices divert through the pool.
+  // dma::DmaRouter: untrusted registered devices divert through the pool
+  // and their queue-protocol drivers serve on sync'd bounce rings. Probation
+  // devices keep direct mappings (clamped service limits do the containment).
   bool ShouldBounce(DeviceId device) const override;
-
-  // dma::DmaRouter: untrusted devices get the configured degraded mode
-  // (quirk override first); everything else runs zero-copy.
-  dma::ServiceMode ServiceModeFor(DeviceId device) const override;
 
   TrustState state(DeviceId device) const;
   DeviceStatus device_status(DeviceId device) const;

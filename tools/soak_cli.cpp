@@ -9,6 +9,10 @@
 //        [--no-forensics] [--incident-out incidents.json]
 //        [--check-interval N] [--out report.json] [--trace-out trace.csv]
 //
+// --legacy-path turns the IOMMU fast path off: no IOVA rcache (every alloc
+// scans the free-range tree) and no walk cache (full radix walks, which
+// charge more simulated cycles per IOTLB miss).
+//
 // --cpus N > 1 turns on the cross-CPU leg (per-CPU churn, RSS-steered echo
 // when --queues > 1, the stale-IOTLB and sibling-quarantine races);
 // --threads runs the per-CPU phase on real host threads (ExecMode::kThreads,
@@ -155,7 +159,8 @@ int main(int argc, char** argv) {
           "            [--degraded-drill] [--degraded-floor F]\n"
           "            [--no-forensics] [--incident-out incidents.json]\n"
           "            [--check-interval N] [--out report.json]\n"
-          "            [--trace-out trace.csv]\n");
+          "            [--trace-out trace.csv]\n"
+          "  --legacy-path   IOVA rcache and IOMMU walk cache off\n");
       return 0;
     } else {
       std::fprintf(stderr, "soak: unknown flag '%s' (see --help)\n", arg.c_str());
