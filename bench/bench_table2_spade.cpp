@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -268,12 +269,37 @@ void PrintRow(const telemetry::Hub& hub, const char* name, const std::string& co
 
 }  // namespace
 
+// A directory of this run's own under the system temp dir (mkdtemp), removed
+// with everything in it on every exit from main: two runs side by side never
+// write into, or delete, each other's corpus.
+class RunDir {
+ public:
+  RunDir() {
+    std::string pattern = (fs::temp_directory_path() / "spv_table2_corpus.XXXXXX").string();
+    if (mkdtemp(pattern.data()) == nullptr) {
+      std::perror("mkdtemp");
+      std::exit(1);
+    }
+    path_ = pattern;
+  }
+  ~RunDir() {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+
+  const fs::path& path() const { return path_; }
+
+ private:
+  fs::path path_;
+};
+
 int main() {
   std::printf("== Table 2: SPADE results summary ==\n\n");
 
-  const fs::path dir = fs::temp_directory_path() / "spv_table2_corpus";
-  std::error_code ec;
-  fs::remove_all(dir, ec);
+  const RunDir run_dir;
+  const fs::path& dir = run_dir.path();
   Generate(dir);
 
   telemetry::Hub::Config hub_config;
@@ -325,6 +351,5 @@ int main() {
               static_cast<unsigned long long>(hub.counter_value("spade.vulnerable_sites")),
               static_cast<unsigned long long>(hub.ring().recorded()),
               static_cast<unsigned long long>(hub.ring().dropped()));
-  fs::remove_all(dir, ec);
   return 0;
 }

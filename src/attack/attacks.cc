@@ -54,7 +54,8 @@ void EmitStage(core::Machine& machine, std::string_view attack, const std::strin
   event.kind = telemetry::EventKind::kAttackStage;
   event.severity = telemetry::Severity::kWarn;
   event.origin = &machine;
-  event.site = std::string(attack) + ": " + text;
+  // Narration carries recovered addresses: run-time text the event owns.
+  event.site = telemetry::EventSite::Own({attack, ": ", text});
   hub.Publish(std::move(event));
   if (hub.enabled()) {
     hub.counter("attack.stages").Add();

@@ -4,7 +4,7 @@
 
 namespace spv::dkasan {
 
-std::string ReportKindName(ReportKind kind) {
+std::string_view ReportKindName(ReportKind kind) {
   switch (kind) {
     case ReportKind::kAllocAfterMap:
       return "alloc-after-map";
@@ -30,22 +30,32 @@ std::string Report::ToLine(int index) const {
   return out.str();
 }
 
+DKasan::PageShadow* DKasan::FindShadow(Kva kva) {
+  Result<PhysAddr> phys = layout_.DirectMapKvaToPhys(kva);
+  return phys.ok() ? shadow_.Find(phys->pfn().value) : nullptr;
+}
+
 DKasan::PageShadow* DKasan::ShadowFor(Kva kva) {
   Result<PhysAddr> phys = layout_.DirectMapKvaToPhys(kva);
   if (!phys.ok()) {
     return nullptr;
   }
-  return &shadow_[phys->pfn().value];
+  return shadow_.TryEmplace(phys->pfn().value, PageShadow{}).first;
+}
+
+bool DKasan::FirstSighting(ReportKind kind, bool is_write, std::string_view site) {
+  if (!dedup_) {
+    return true;
+  }
+  const DedupKey key{kind, is_write, site};
+  if (seen_.contains(key)) {
+    return false;  // looked up first: emplace would build a node to throw away
+  }
+  seen_.insert(key);
+  return true;
 }
 
 void DKasan::AddReport(Report report) {
-  if (dedup_) {
-    const auto key = std::make_pair(static_cast<uint8_t>(report.kind), report.site);
-    if (seen_.contains(key)) {
-      return;
-    }
-    seen_[key] = true;
-  }
   if (hub_ != nullptr && hub_->active()) {
     telemetry::Event event;
     event.kind = telemetry::EventKind::kDkasanReport;
@@ -54,33 +64,36 @@ void DKasan::AddReport(Report report) {
     event.len = report.size;
     event.aux = static_cast<uint64_t>(report.kind);
     event.origin = this;
-    event.site = ReportKindName(report.kind) + ": " + report.site;
+    // The report line is run-time text, so the event owns it.
+    event.site = telemetry::EventSite::Own({ReportKindName(report.kind), ": ", report.site});
     hub_->Publish(std::move(event));
     if (hub_->enabled()) {
-      hub_->counter("dkasan.reports").Add();
-      hub_->counter("dkasan.reports." + ReportKindName(report.kind)).Add();
+      c_reports_.Get(*hub_).Add();
+      c_reports_by_kind_[static_cast<size_t>(report.kind)].Get(*hub_).Add();
     }
   }
   reports_.push_back(std::move(report));
 }
 
 void DKasan::OnAlloc(Kva kva, uint64_t size, std::string_view site) {
-  live_objects_[kva.value] = LiveObject{size, std::string(site)};
+  live_nodes_.Put(live_objects_, kva.value, LiveObject{size, site});
   // alloc-after-map: any page the object touches is currently mapped.
   const uint64_t first = kva.PageBase().value;
   const uint64_t last = (kva.value + size - 1) & ~kPageMask;
   for (uint64_t page = first; page <= last; page += kPageSize) {
-    PageShadow* shadow = ShadowFor(Kva{page});
+    const PageShadow* shadow = FindShadow(Kva{page});
     if (shadow != nullptr && shadow->map_count > 0) {
-      Report report;
-      report.kind = ReportKind::kAllocAfterMap;
-      report.kva = kva;
-      report.size = size;
-      report.rights = static_cast<iommu::AccessRights>(shadow->merged_rights);
-      report.site = std::string(site);
-      report.detail = "object allocated on a DMA-mapped page (mapped at " +
-                      shadow->first_map_site + ")";
-      AddReport(std::move(report));
+      if (FirstSighting(ReportKind::kAllocAfterMap, false, site)) {
+        Report report;
+        report.kind = ReportKind::kAllocAfterMap;
+        report.kva = kva;
+        report.size = size;
+        report.rights = static_cast<iommu::AccessRights>(shadow->merged_rights);
+        report.site = std::string(site);
+        report.detail = "object allocated on a DMA-mapped page (mapped at " +
+                        std::string(shadow->first_map_site) + ")";
+        AddReport(std::move(report));
+      }
       return;
     }
   }
@@ -88,7 +101,9 @@ void DKasan::OnAlloc(Kva kva, uint64_t size, std::string_view site) {
 
 void DKasan::OnFree(Kva kva, uint64_t size) {
   (void)size;
-  live_objects_.erase(kva.value);
+  if (auto it = live_objects_.find(kva.value); it != live_objects_.end()) {
+    live_nodes_.Take(live_objects_, it);
+  }
 }
 
 void DKasan::OnMap(DeviceId device, Kva kva, uint64_t len, Iova iova,
@@ -102,7 +117,7 @@ void DKasan::OnMap(DeviceId device, Kva kva, uint64_t len, Iova iova,
     if (shadow == nullptr) {
       continue;
     }
-    if (shadow->map_count > 0) {
+    if (shadow->map_count > 0 && FirstSighting(ReportKind::kMultipleMap, false, site)) {
       Report report;
       report.kind = ReportKind::kMultipleMap;
       report.kva = Kva{page};
@@ -112,11 +127,11 @@ void DKasan::OnMap(DeviceId device, Kva kva, uint64_t len, Iova iova,
                                            static_cast<uint8_t>(rights));
       report.site = std::string(site);
       report.detail = "page mapped " + std::to_string(shadow->map_count + 1) +
-                      " times (first at " + shadow->first_map_site + ")";
+                      " times (first at " + std::string(shadow->first_map_site) + ")";
       AddReport(std::move(report));
     }
     if (shadow->map_count == 0) {
-      shadow->first_map_site = std::string(site);
+      shadow->first_map_site = site;
     }
     ++shadow->map_count;
     shadow->merged_rights |= static_cast<uint8_t>(rights);
@@ -133,12 +148,15 @@ void DKasan::OnMap(DeviceId device, Kva kva, uint64_t len, Iova iova,
       if (obj_start >= kva.value && obj_end <= kva.value + len) {
         continue;  // the mapped buffer itself
       }
+      if (!FirstSighting(ReportKind::kMapAfterAlloc, false, it->second.site)) {
+        continue;
+      }
       Report report;
       report.kind = ReportKind::kMapAfterAlloc;
       report.kva = Kva{obj_start};
       report.size = it->second.size;
       report.rights = rights;
-      report.site = it->second.site;
+      report.site = std::string(it->second.site);
       report.detail = "containing page mapped after allocation (map at " +
                       std::string(site) + ")";
       AddReport(std::move(report));
@@ -151,12 +169,12 @@ void DKasan::OnUnmap(DeviceId device, Kva kva, uint64_t len) {
   const uint64_t first = kva.PageBase().value;
   const uint64_t last = (kva.value + len - 1) & ~kPageMask;
   for (uint64_t page = first; page <= last; page += kPageSize) {
-    PageShadow* shadow = ShadowFor(Kva{page});
+    PageShadow* shadow = FindShadow(Kva{page});
     if (shadow != nullptr && shadow->map_count > 0) {
       --shadow->map_count;
       if (shadow->map_count == 0) {
         shadow->merged_rights = 0;
-        shadow->first_map_site.clear();
+        shadow->first_map_site = {};
       }
     }
   }
@@ -166,16 +184,18 @@ void DKasan::OnCpuAccess(Kva kva, uint64_t len, bool is_write) {
   const uint64_t first = kva.PageBase().value;
   const uint64_t last = len > 0 ? ((kva.value + len - 1) & ~kPageMask) : first;
   for (uint64_t page = first; page <= last; page += kPageSize) {
-    PageShadow* shadow = ShadowFor(Kva{page});
+    const PageShadow* shadow = FindShadow(Kva{page});
     if (shadow != nullptr && shadow->map_count > 0) {
-      Report report;
-      report.kind = ReportKind::kAccessAfterMap;
-      report.kva = kva;
-      report.size = len;
-      report.rights = static_cast<iommu::AccessRights>(shadow->merged_rights);
-      report.site = std::string(is_write ? "cpu-write" : "cpu-read") + " on page mapped at " +
-                    shadow->first_map_site;
-      AddReport(std::move(report));
+      if (FirstSighting(ReportKind::kAccessAfterMap, is_write, shadow->first_map_site)) {
+        Report report;
+        report.kind = ReportKind::kAccessAfterMap;
+        report.kva = kva;
+        report.size = len;
+        report.rights = static_cast<iommu::AccessRights>(shadow->merged_rights);
+        report.site = std::string(is_write ? "cpu-write" : "cpu-read") +
+                      " on page mapped at " + std::string(shadow->first_map_site);
+        AddReport(std::move(report));
+      }
       return;
     }
   }

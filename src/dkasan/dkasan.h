@@ -17,12 +17,17 @@
 #ifndef SPV_DKASAN_DKASAN_H_
 #define SPV_DKASAN_DKASAN_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
+#include "base/flat_map.h"
+#include "base/node_recycler.h"
 #include "base/types.h"
 #include "dma/dma_api.h"
 #include "dma/observer.h"
@@ -41,7 +46,7 @@ enum class ReportKind : uint8_t {
   kMultipleMap,
 };
 
-std::string ReportKindName(ReportKind kind);
+std::string_view ReportKindName(ReportKind kind);
 
 struct Report {
   ReportKind kind;
@@ -98,27 +103,44 @@ class DKasan : public slab::SlabObserver, public dma::DmaObserver {
   void set_dedup(bool dedup) { dedup_ = dedup; }
 
  private:
+  // Sites below are views: allocation and DMA-map events carry Site names
+  // that live for the whole process, so the shadow state copies no text.
   struct PageShadow {
     // Live mappings covering this page: device -> rights (merged).
     uint32_t map_count = 0;
     uint8_t merged_rights = 0;
-    std::string first_map_site;
+    std::string_view first_map_site;
   };
   struct LiveObject {
     uint64_t size;
-    std::string site;
+    std::string_view site;
   };
+  using LiveObjects = std::map<uint64_t, LiveObject>;  // kva -> object
+  // What makes two findings the same: the kind, the report's site and, for
+  // access-after-map, read vs write. Checked before any report text is
+  // built, so a repeated finding costs a lookup and nothing else.
+  using DedupKey = std::tuple<ReportKind, bool, std::string_view>;
 
+  // True when the finding is new (or dedup is off); remembers it.
+  bool FirstSighting(ReportKind kind, bool is_write, std::string_view site);
   void AddReport(Report report);
-  PageShadow* ShadowFor(Kva kva);
+  PageShadow* FindShadow(Kva kva);
+  PageShadow* ShadowFor(Kva kva);  // creates the page's entry
 
   const mem::KernelLayout& layout_;
-  std::unordered_map<uint64_t, PageShadow> shadow_;       // pfn -> state
-  std::map<uint64_t, LiveObject> live_objects_;           // kva -> object
+  FlatMap<uint64_t, PageShadow> shadow_;  // pfn -> state
+  LiveObjects live_objects_;
+  NodeRecycler<LiveObjects> live_nodes_;  // alloc/free churn reuses nodes
   std::vector<Report> reports_;
-  std::map<std::pair<uint8_t, std::string>, bool> seen_;  // dedup key
+  std::set<DedupKey> seen_;
   bool dedup_ = true;
   telemetry::Hub* hub_ = nullptr;
+  telemetry::CachedCounter c_reports_{"dkasan.reports"};
+  std::array<telemetry::CachedCounter, 4> c_reports_by_kind_{
+      telemetry::CachedCounter{"dkasan.reports.alloc-after-map"},
+      telemetry::CachedCounter{"dkasan.reports.map-after-alloc"},
+      telemetry::CachedCounter{"dkasan.reports.access-after-map"},
+      telemetry::CachedCounter{"dkasan.reports.multiple-map"}};
 };
 
 }  // namespace spv::dkasan

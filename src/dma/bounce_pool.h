@@ -145,7 +145,7 @@ class BouncePool {
     Kva orig_kva;
     uint64_t len;
     DmaDirection dir;
-    std::string_view site;  // a Site's name: valid for the whole process
+    Site site;
     bool persistent = false;
   };
   struct Pool {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <mutex>
 #include <tuple>
 
@@ -400,10 +401,13 @@ void DmaApi::Notify(const DmaMapping& mapping, bool map) {
   hub.Publish(std::move(event));
   if (hub.enabled()) {
     (map ? c_maps_ : c_unmaps_).Get(hub).Add();
-    // Per-device map/unmap accounting (Table-1 style breakdowns).
-    std::string per_device = map ? "dma.maps.dev" : "dma.unmaps.dev";
-    per_device += std::to_string(mapping.device.value);
-    hub.counter(per_device).Add();
+    // Per-device map/unmap accounting (Table-1 style breakdowns). The name is
+    // built on the stack: "dma.unmaps.dev10" is past the small-string limit,
+    // and the registry lookup takes a view.
+    char per_device[32];
+    const int len = std::snprintf(per_device, sizeof(per_device), "%s%u",
+                                  map ? "dma.maps.dev" : "dma.unmaps.dev", mapping.device.value);
+    hub.counter(std::string_view(per_device, static_cast<size_t>(len))).Add();
     if (map) {
       h_map_bytes_.Get(hub).Record(mapping.len);
       h_exposed_bytes_.Get(hub).Record(mapping.exposed_bytes());

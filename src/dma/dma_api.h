@@ -78,7 +78,7 @@ struct DmaMapping {
   Kva kva;         // buffer start
   uint64_t len;    // requested length, NOT the exposed length
   DmaDirection dir;
-  std::string_view site;  // a Site's name: valid for the whole process
+  Site site;
 
   uint64_t pages() const { return ((kva.page_offset() + len + kPageSize - 1) >> kPageShift); }
   uint64_t exposed_bytes() const { return pages() << kPageShift; }

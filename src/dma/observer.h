@@ -12,6 +12,7 @@
 #ifndef SPV_DMA_OBSERVER_H_
 #define SPV_DMA_OBSERVER_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string_view>
 
@@ -25,6 +26,8 @@ class DmaObserver {
  public:
   virtual ~DmaObserver() = default;
 
+  // `site` is the mapping's Site name, valid for the whole process, so an
+  // observer may keep the view.
   virtual void OnMap(DeviceId device, Kva kva, uint64_t len, Iova iova,
                      iommu::AccessRights rights, std::string_view site) = 0;
   virtual void OnUnmap(DeviceId device, Kva kva, uint64_t len) = 0;
@@ -48,6 +51,7 @@ class DmaObserverSink : public telemetry::EventSink {
     }
     switch (event.kind) {
       case telemetry::EventKind::kDmaMap:
+        assert(!event.site.owned() && "DMA-map events carry a Site");
         observer_->OnMap(DeviceId{event.device}, Kva{event.addr}, event.len,
                          Iova{event.addr2}, static_cast<iommu::AccessRights>(event.aux),
                          event.site);

@@ -12,31 +12,42 @@ namespace {
 struct SiteName {
   FaultSite site;
   std::string_view name;
+  Site event_site;  // kFaultInjected's site, "fault:<name>"
 };
 
 // Declaration order; names are the counter/export vocabulary
 // (fault.injected.<name>).
 constexpr SiteName kSiteNames[] = {
-    {FaultSite::kPageAlloc, "page_alloc"},
-    {FaultSite::kSlabAlloc, "slab_alloc"},
-    {FaultSite::kPageFragAlloc, "page_frag_alloc"},
-    {FaultSite::kIovaAlloc, "iova_alloc"},
-    {FaultSite::kIoPageTableMap, "io_page_table_map"},
-    {FaultSite::kIotlbInvalidation, "iotlb_invalidation"},
-    {FaultSite::kNicRxDrop, "nic_rx_drop"},
-    {FaultSite::kNicRxTruncate, "nic_rx_truncate"},
-    {FaultSite::kNicRxCorrupt, "nic_rx_corrupt"},
-    {FaultSite::kNicDescWriteback, "nic_desc_writeback"},
-    {FaultSite::kNicRxRefillStarve, "nic_rx_refill_starve"},
-    {FaultSite::kNicTxCompletionLoss, "nic_tx_completion_loss"},
-    {FaultSite::kNicDeviceStall, "nic_device_stall"},
-    {FaultSite::kNvmeSqFetchCorrupt, "nvme_sq_fetch_corrupt"},
-    {FaultSite::kNvmePrpWild, "nvme_prp_wild"},
-    {FaultSite::kNvmeCqPhaseFlip, "nvme_cq_phase_flip"},
-    {FaultSite::kNvmeDoorbellStorm, "nvme_doorbell_storm"},
-    {FaultSite::kNvmeCompletionDrop, "nvme_completion_drop"},
-    {FaultSite::kNvmeShortTransfer, "nvme_short_transfer"},
+    {FaultSite::kPageAlloc, "page_alloc", "fault:page_alloc"},
+    {FaultSite::kSlabAlloc, "slab_alloc", "fault:slab_alloc"},
+    {FaultSite::kPageFragAlloc, "page_frag_alloc", "fault:page_frag_alloc"},
+    {FaultSite::kIovaAlloc, "iova_alloc", "fault:iova_alloc"},
+    {FaultSite::kIoPageTableMap, "io_page_table_map", "fault:io_page_table_map"},
+    {FaultSite::kIotlbInvalidation, "iotlb_invalidation", "fault:iotlb_invalidation"},
+    {FaultSite::kNicRxDrop, "nic_rx_drop", "fault:nic_rx_drop"},
+    {FaultSite::kNicRxTruncate, "nic_rx_truncate", "fault:nic_rx_truncate"},
+    {FaultSite::kNicRxCorrupt, "nic_rx_corrupt", "fault:nic_rx_corrupt"},
+    {FaultSite::kNicDescWriteback, "nic_desc_writeback", "fault:nic_desc_writeback"},
+    {FaultSite::kNicRxRefillStarve, "nic_rx_refill_starve", "fault:nic_rx_refill_starve"},
+    {FaultSite::kNicTxCompletionLoss, "nic_tx_completion_loss",
+     "fault:nic_tx_completion_loss"},
+    {FaultSite::kNicDeviceStall, "nic_device_stall", "fault:nic_device_stall"},
+    {FaultSite::kNvmeSqFetchCorrupt, "nvme_sq_fetch_corrupt", "fault:nvme_sq_fetch_corrupt"},
+    {FaultSite::kNvmePrpWild, "nvme_prp_wild", "fault:nvme_prp_wild"},
+    {FaultSite::kNvmeCqPhaseFlip, "nvme_cq_phase_flip", "fault:nvme_cq_phase_flip"},
+    {FaultSite::kNvmeDoorbellStorm, "nvme_doorbell_storm", "fault:nvme_doorbell_storm"},
+    {FaultSite::kNvmeCompletionDrop, "nvme_completion_drop", "fault:nvme_completion_drop"},
+    {FaultSite::kNvmeShortTransfer, "nvme_short_transfer", "fault:nvme_short_transfer"},
 };
+
+Site FaultEventSite(FaultSite site) {
+  for (const SiteName& entry : kSiteNames) {
+    if (entry.site == site) {
+      return entry.event_site;
+    }
+  }
+  return "fault:?";
+}
 static_assert(std::size(kSiteNames) == kNumFaultSites);
 
 // One SplitMix64 step over caller-held state (the class keeps its state
@@ -160,7 +171,7 @@ bool FaultEngine::ShouldInject(FaultSite site) {
     event.aux = static_cast<uint64_t>(site);
     event.len = trigger.magnitude;
     event.origin = this;
-    event.site = std::string("fault:") + std::string(FaultSiteName(site));
+    event.site = FaultEventSite(site);
     hub_->Publish(std::move(event));
     if (hub_->enabled()) {
       hub_->counter(std::string("fault.injected.") + std::string(FaultSiteName(site)))

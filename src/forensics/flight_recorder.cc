@@ -124,8 +124,21 @@ void FlightRecorder::Push(Lane& lane, FlightRecord record) {
   RingFor(lane).Push(record);
 }
 
+bool FlightRecorder::Ledger::Push(MappingLife life, size_t capacity) {
+  if (lives.size() < capacity) {
+    if (lives.capacity() < capacity) {
+      lives.reserve(capacity);
+    }
+    lives.push_back(std::move(life));
+    return false;
+  }
+  lives[oldest] = std::move(life);
+  oldest = (oldest + 1) % capacity;
+  return true;
+}
+
 void FlightRecorder::RecordMap(DeviceId device, Iova iova, Kva kva, uint64_t len,
-                               uint8_t dir, bool bounced, std::string_view site) {
+                               uint8_t dir, bool bounced, Site site) {
   Lane& lane = LaneFor(device);
   FlightRecord record;
   record.device = device.value;
@@ -146,13 +159,11 @@ void FlightRecorder::RecordMap(DeviceId device, Iova iova, Kva kva, uint64_t len
     life.len = len;
     life.dir = dir;
     life.bounced = bounced;
-    life.site.assign(site);
+    life.site = site;
     life.map_cycle = clock_->now();
-    if (lane.ledger.size() >= config_.ledger_capacity) {
-      lane.ledger.pop_front();
+    if (lane.ledger.Push(std::move(life), config_.ledger_capacity)) {
       ++lane.ledger_dropped;
     }
-    lane.ledger.push_back(std::move(life));
   }
   Push(lane, record);
 }
@@ -171,13 +182,13 @@ void FlightRecorder::RecordUnmap(DeviceId device, Iova iova, uint64_t len,
     SpinGuard guard(lane.ledger_lock);
     // Latest live life at this IOVA — reverse scan so remap-at-same-IOVA
     // retires the newest generation first.
-    for (auto it = lane.ledger.rbegin(); it != lane.ledger.rend(); ++it) {
-      if (it->unmap_cycle == 0 && it->iova == iova.value) {
-        it->unmap_cycle = clock_->now();
-        record.generation = it->generation;
-        record.gpa = it->kva;
-        break;
-      }
+    MappingLife* life = lane.ledger.FindNewest([&](const MappingLife& l) {
+      return l.unmap_cycle == 0 && l.iova == iova.value;
+    });
+    if (life != nullptr) {
+      life->unmap_cycle = clock_->now();
+      record.generation = life->generation;
+      record.gpa = life->kva;
     }
   }
   Push(lane, record);
@@ -194,13 +205,12 @@ void FlightRecorder::RecordAccess(DeviceId device, Iova iova, uint64_t gpa,
   record.len = len;
   {
     SpinGuard guard(lane.ledger_lock);
-    for (auto it = lane.ledger.rbegin(); it != lane.ledger.rend(); ++it) {
-      if (it->unmap_cycle == 0 && iova.value >= it->iova &&
-          iova.value < it->iova + it->len) {
-        ++it->accesses;
-        record.generation = it->generation;
-        break;
-      }
+    MappingLife* life = lane.ledger.FindNewest([&](const MappingLife& l) {
+      return l.unmap_cycle == 0 && iova.value >= l.iova && iova.value < l.iova + l.len;
+    });
+    if (life != nullptr) {
+      ++life->accesses;
+      record.generation = life->generation;
     }
   }
   Push(lane, record);
@@ -218,15 +228,15 @@ void FlightRecorder::RecordStaleHit(DeviceId device, Iova page_iova, uint64_t gp
     SpinGuard guard(lane.ledger_lock);
     // The life this translation belonged to: latest *unmapped* entry whose
     // page covers the faulting page (the stale window's owner).
-    for (auto it = lane.ledger.rbegin(); it != lane.ledger.rend(); ++it) {
-      const uint64_t first_page = it->iova & ~kPageMask;
-      const uint64_t last_page = (it->iova + (it->len ? it->len - 1 : 0)) & ~kPageMask;
-      if (it->unmap_cycle != 0 && page_iova.value >= first_page &&
-          page_iova.value <= last_page) {
-        ++it->stale_hits;
-        record.generation = it->generation;
-        break;
-      }
+    MappingLife* life = lane.ledger.FindNewest([&](const MappingLife& l) {
+      const uint64_t first_page = l.iova & ~kPageMask;
+      const uint64_t last_page = (l.iova + (l.len ? l.len - 1 : 0)) & ~kPageMask;
+      return l.unmap_cycle != 0 && page_iova.value >= first_page &&
+             page_iova.value <= last_page;
+    });
+    if (life != nullptr) {
+      ++life->stale_hits;
+      record.generation = life->generation;
     }
   }
   Push(lane, record);
@@ -258,13 +268,12 @@ void FlightRecorder::RecordSync(DeviceId device, Iova iova, uint64_t len,
     SpinGuard guard(lane.ledger_lock);
     // Latest live life covering the sync'd range — syncs never retire a
     // life, they just stamp which generation the handoff belonged to.
-    for (auto it = lane.ledger.rbegin(); it != lane.ledger.rend(); ++it) {
-      if (it->unmap_cycle == 0 && iova.value >= it->iova &&
-          iova.value < it->iova + it->len) {
-        record.generation = it->generation;
-        record.gpa = it->kva;
-        break;
-      }
+    const MappingLife* life = lane.ledger.FindNewest([&](const MappingLife& l) {
+      return l.unmap_cycle == 0 && iova.value >= l.iova && iova.value < l.iova + l.len;
+    });
+    if (life != nullptr) {
+      record.generation = life->generation;
+      record.gpa = life->kva;
     }
   }
   Push(lane, record);
@@ -281,7 +290,8 @@ void FlightRecorder::RecordFlush(DeviceId device, Iova page_iova, uint64_t pages
     SpinGuard guard(lane.ledger_lock);
     const uint64_t flush_base = page_iova.value;
     const uint64_t flush_end = flush_base + (pages << kPageShift);
-    for (MappingLife& life : lane.ledger) {
+    for (size_t i = 0; i < lane.ledger.size(); ++i) {
+      MappingLife& life = lane.ledger[i];
       if (life.unmap_cycle != 0 && life.flush_cycle == 0 &&
           life.iova < flush_end && life.iova + life.len > flush_base) {
         life.flush_cycle = clock_->now();
@@ -320,7 +330,12 @@ std::vector<MappingLife> FlightRecorder::SnapshotLedger(DeviceId device) const {
     return {};
   }
   SpinGuard guard(lane->ledger_lock);
-  return std::vector<MappingLife>(lane->ledger.begin(), lane->ledger.end());
+  std::vector<MappingLife> lives;
+  lives.reserve(lane->ledger.size());
+  for (size_t i = 0; i < lane->ledger.size(); ++i) {
+    lives.push_back(lane->ledger[i]);
+  }
+  return lives;
 }
 
 uint64_t FlightRecorder::total_recorded() const {

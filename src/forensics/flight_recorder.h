@@ -34,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,6 +42,7 @@
 
 #include "base/clock.h"
 #include "base/exec.h"
+#include "base/site.h"
 #include "base/types.h"
 
 namespace spv::forensics {
@@ -93,7 +93,7 @@ struct MappingLife {
   uint64_t len = 0;
   uint8_t dir = 0;
   bool bounced = false;
-  std::string site;
+  std::string_view site;  // the mapping's Site: valid for the whole process
   uint64_t map_cycle = 0;
   uint64_t unmap_cycle = 0;  // 0 = still live
   uint64_t flush_cycle = 0;  // 0 = translation never (yet) invalidated
@@ -124,7 +124,7 @@ class FlightRecorder {
 
   // Mapping installed. Returns the generation assigned to this life.
   void RecordMap(DeviceId device, Iova iova, Kva kva, uint64_t len, uint8_t dir,
-                 bool bounced, std::string_view site);
+                 bool bounced, Site site);
   void RecordUnmap(DeviceId device, Iova iova, uint64_t len, uint8_t dir,
                    bool bounced);
   // Device-side access served for one in-page chunk (gpa = translated phys).
@@ -174,10 +174,37 @@ class FlightRecorder {
     std::vector<FlightRecord> Snapshot() const;
   };
 
+  // A device's mapping lives, oldest first, in one array used as a ring:
+  // reserved to ledger_capacity at the first push, then a new life
+  // overwrites the oldest in place, so a full ledger allocates nothing.
+  struct Ledger {
+    std::vector<MappingLife> lives;
+    size_t oldest = 0;  // slot of the oldest life once the ledger is full
+
+    size_t size() const { return lives.size(); }
+    // i = 0 is the oldest life.
+    MappingLife& operator[](size_t i) { return lives[(oldest + i) % lives.size()]; }
+    const MappingLife& operator[](size_t i) const {
+      return lives[(oldest + i) % lives.size()];
+    }
+    // Appends `life`; returns true when it overwrote the oldest one.
+    bool Push(MappingLife life, size_t capacity);
+    // The newest life satisfying `pred`, or nullptr.
+    template <typename Pred>
+    MappingLife* FindNewest(Pred pred) {
+      for (size_t i = size(); i > 0; --i) {
+        if (MappingLife& life = (*this)[i - 1]; pred(life)) {
+          return &life;
+        }
+      }
+      return nullptr;
+    }
+  };
+
   // Per-device lane: one ring per CPU plus the mapping ledger.
   struct Lane {
     std::vector<std::unique_ptr<Ring>> rings;
-    std::deque<MappingLife> ledger;
+    Ledger ledger;
     uint64_t next_generation = 1;
     uint64_t ledger_dropped = 0;
     mutable std::atomic_flag ledger_lock = ATOMIC_FLAG_INIT;

@@ -82,7 +82,7 @@ void AppendLifeJson(std::string& out, const MappingLife& life) {
 
 }  // namespace
 
-std::string_view AttackClassName(AttackClass c) {
+Site AttackClassName(AttackClass c) {
   switch (c) {
     case AttackClass::kUnknown:
       return "unknown";
@@ -232,7 +232,7 @@ void IncidentEngine::OnEvent(const telemetry::Event& event) {
     default:
       return;  // includes our own kIncidentOpen/kIncidentReport: no recursion
   }
-  Freeze(DeviceId{event.device}, telemetry::EventKindName(event.kind), event.site,
+  Freeze(DeviceId{event.device}, telemetry::EventKindSite(event.kind), event.site,
          /*manual=*/false);
 }
 
@@ -240,8 +240,8 @@ void IncidentEngine::OpenIncident(DeviceId device, std::string_view reason) {
   Freeze(device, "manual", reason, /*manual=*/true);
 }
 
-void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
-                            std::string_view reason, bool manual) {
+void IncidentEngine::Freeze(DeviceId device, Site trigger, std::string_view reason,
+                            bool manual) {
   const uint64_t now = clock_->now();
   Incident incident;
   {
@@ -251,7 +251,7 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
       return;
     }
     if (!manual) {
-      const auto key = std::make_pair(device.value, std::string(trigger));
+      const auto key = std::make_pair(device.value, std::string_view(trigger));
       const auto it = last_trigger_cycle_.find(key);
       if (it != last_trigger_cycle_.end() &&
           now - it->second < config_.cooldown_cycles) {
@@ -301,7 +301,7 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
     open.device = device.value;
     open.aux = id;
     open.flag = manual;
-    open.site.assign(trigger);
+    open.site = trigger;
     hub_.Publish(std::move(open));
 
     telemetry::Event sealed;
@@ -310,7 +310,7 @@ void IncidentEngine::Freeze(DeviceId device, std::string_view trigger,
     sealed.device = device.value;
     sealed.aux = static_cast<uint64_t>(inferred);
     sealed.flag = manual;
-    sealed.site.assign(AttackClassName(inferred));
+    sealed.site = AttackClassName(inferred);
     hub_.Publish(std::move(sealed));
   }
 }

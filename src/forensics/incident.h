@@ -67,7 +67,7 @@ enum class AttackClass : uint8_t {
   kPoisonedCompletion,  // completion forged, data phase rode a stale window
 };
 
-std::string_view AttackClassName(AttackClass c);
+Site AttackClassName(AttackClass c);
 
 // Evidence-only classification; exposed for tests. `implicated_out` (may be
 // null) receives the index into `ledger` of the implicated mapping life, or
@@ -127,7 +127,7 @@ class IncidentEngine : public telemetry::EventSink {
   std::string SummaryJson() const;
 
  private:
-  void Freeze(DeviceId device, std::string_view trigger, std::string_view reason,
+  void Freeze(DeviceId device, Site trigger, std::string_view reason,
               bool manual);
   std::string WindowsJson(uint32_t device, uint64_t from_cycle,
                           uint64_t to_cycle) const;
@@ -144,7 +144,8 @@ class IncidentEngine : public telemetry::EventSink {
   // thread while a test thread polls counts. Publishes happen outside it.
   mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
   std::vector<Incident> incidents_;
-  std::map<std::pair<uint32_t, std::string>, uint64_t> last_trigger_cycle_;
+  // (device, trigger kind name) -> cycle of the last freeze.
+  std::map<std::pair<uint32_t, std::string_view>, uint64_t> last_trigger_cycle_;
   uint64_t next_id_ = 1;
   uint64_t suppressed_ = 0;
 };

@@ -10,6 +10,23 @@
 
 namespace spv::iommu {
 
+namespace {
+
+// kIommuFlush's site, "flush_now:<reason>".
+Site FlushSite(FlushReason reason) {
+  switch (reason) {
+    case FlushReason::kManual:
+      return "flush_now:manual";
+    case FlushReason::kCapacity:
+      return "flush_now:capacity";
+    case FlushReason::kDeadline:
+      return "flush_now:deadline";
+  }
+  return "flush_now:?";
+}
+
+}  // namespace
+
 std::string_view FlushReasonName(FlushReason reason) {
   switch (reason) {
     case FlushReason::kManual:
@@ -231,7 +248,7 @@ Status Iommu::DetachDevice(DeviceId device) {
   return OkStatus();
 }
 
-void Iommu::NoteFencedAccess(DeviceId device, Iova iova, std::string_view what) {
+void Iommu::NoteFencedAccess(DeviceId device, Iova iova, Site what) {
   ++stats_.fenced_accesses;
   if (hub_ != nullptr && hub_->active()) {
     telemetry::Event event;
@@ -240,7 +257,7 @@ void Iommu::NoteFencedAccess(DeviceId device, Iova iova, std::string_view what) 
     event.device = device.value;
     event.addr2 = iova.value;
     event.origin = this;
-    event.site = std::string(what);
+    event.site = what;
     hub_->Publish(std::move(event));
     if (hub_->enabled()) {
       hub_->counter("iommu.fenced_accesses").Add();
@@ -473,7 +490,7 @@ void Iommu::DrainShard(size_t shard_index, FlushReason reason) {
     event.severity = telemetry::Severity::kInfo;
     event.aux = amortized;  // queued unmaps retired by this one invalidation
     event.origin = this;
-    event.site = std::string("flush_now:") + std::string(FlushReasonName(reason));
+    event.site = FlushSite(reason);
     hub_->Publish(std::move(event));
     if (hub_->enabled()) {
       c_flushes_.Get(*hub_).Add();
@@ -633,7 +650,7 @@ Result<PteEntry> Iommu::TranslateForDevice(DeviceId device, Domain& state, Iova 
   return *pte;
 }
 
-void Iommu::Fault(DeviceId device, Iova iova, AccessOp op, std::string reason) {
+void Iommu::Fault(DeviceId device, Iova iova, AccessOp op, Site reason) {
   if (recorder_ != nullptr) {
     recorder_->RecordFault(device, iova, kPageSize, op == AccessOp::kWrite);
   }
@@ -655,7 +672,7 @@ void Iommu::Fault(DeviceId device, Iova iova, AccessOp op, std::string reason) {
   constexpr size_t kMaxFaults = 4096;
   std::lock_guard<MaybeMutex> lock(faults_mu_);
   if (faults_.size() < kMaxFaults) {
-    faults_.push_back(IommuFault{device, iova, op, clock_.now(), std::move(reason)});
+    faults_.push_back(IommuFault{device, iova, op, clock_.now(), reason});
   }
 }
 

@@ -26,6 +26,7 @@
 #include "base/clock.h"
 #include "base/exec.h"
 #include "base/maybe_mutex.h"
+#include "base/site.h"
 #include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -75,7 +76,7 @@ struct IommuFault {
   Iova iova;
   AccessOp op;
   uint64_t cycle;
-  std::string reason;
+  std::string_view reason;  // a Site's name: valid for the whole process
 };
 
 class Iommu {
@@ -345,14 +346,14 @@ class Iommu {
 
   Status Access(DeviceId device, Iova iova, AccessOp op, std::span<uint8_t> read_out,
                 std::span<const uint8_t> write_data);
-  void Fault(DeviceId device, Iova iova, AccessOp op, std::string reason);
+  void Fault(DeviceId device, Iova iova, AccessOp op, Site reason);
   void EnqueueInvalidation(DeviceId device, Iova base, uint64_t pages);
 
   Result<PteEntry> TranslateForDevice(DeviceId device, Domain& domain, Iova page_iova,
                                       AccessOp op);
 
   // Publishes a kDeviceFencedAccess event for a rejected fenced-device op.
-  void NoteFencedAccess(DeviceId device, Iova iova, std::string_view what);
+  void NoteFencedAccess(DeviceId device, Iova iova, Site what);
 
   mem::PhysicalMemory& pm_;
   SimClock& clock_;

@@ -40,8 +40,7 @@ Result<Pfn> PageAllocator::AllocPages(unsigned order, PageOwner owner) {
   std::lock_guard<MaybeMutex> guard(mu_);
   uint64_t head_pfn;
   if (order == 0 && !hot_cache_.empty()) {
-    head_pfn = hot_cache_.back();  // LIFO: most recently freed first
-    hot_cache_.pop_back();
+    head_pfn = hot_cache_.PopNewest();  // LIFO: most recently freed first
     ++hot_cache_hits_;
   } else {
     Result<Pfn> head = AllocFromBuddy(order);
@@ -85,11 +84,10 @@ Status PageAllocator::FreePages(Pfn head) {
   free_pages_ += count;
 
   if (order == 0) {
-    hot_cache_.push_back(head.value);
-    if (hot_cache_.size() > kHotCacheCapacity) {
+    hot_cache_.PushNewest(head.value);
+    if (hot_cache_.size > kHotCacheCapacity) {
       // Spill the coldest entry back to the buddy system.
-      const uint64_t cold = hot_cache_.front();
-      hot_cache_.pop_front();
+      const uint64_t cold = hot_cache_.PopOldest();
       FreeToBuddy(cold, 0);
     }
     return OkStatus();
@@ -106,19 +104,18 @@ Result<Pfn> PageAllocator::AllocFromBuddy(unsigned order) {
   if (available > kMaxOrder) {
     // Last resort for order-0: drain the hot cache back into the buddy pool.
     if (order == 0 && !hot_cache_.empty()) {
-      const uint64_t pfn = hot_cache_.back();
-      hot_cache_.pop_back();
+      const uint64_t pfn = hot_cache_.PopNewest();
       return Pfn{pfn};
     }
     return ResourceExhausted("out of physical pages");
   }
   // Take the lowest block at `available`, split down to `order`.
   uint64_t pfn = free_lists_[available].begin()->pfn;
-  free_lists_[available].erase(free_lists_[available].begin());
+  free_nodes_.Erase(free_lists_[available], free_lists_[available].begin());
   while (available > order) {
     --available;
     const uint64_t buddy = pfn + (uint64_t{1} << available);
-    free_lists_[available].insert(FreeBlock{buddy});
+    free_nodes_.Insert(free_lists_[available], FreeBlock{buddy});
   }
   return Pfn{pfn};
 }
@@ -136,11 +133,11 @@ void PageAllocator::FreeToBuddy(uint64_t pfn, unsigned order) {
     if (it == free_lists_[order].end()) {
       break;
     }
-    free_lists_[order].erase(it);
+    free_nodes_.Erase(free_lists_[order], it);
     pfn = std::min(pfn, buddy);
     ++order;
   }
-  free_lists_[order].insert(FreeBlock{pfn});
+  free_nodes_.Insert(free_lists_[order], FreeBlock{pfn});
 }
 
 }  // namespace spv::mem

@@ -13,12 +13,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <set>
 #include <vector>
 
 #include "base/maybe_mutex.h"
+#include "base/node_recycler.h"
 #include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -86,9 +86,29 @@ class PageAllocator {
 
   // Ordered free sets per order: deterministic lowest-address-first policy.
   std::array<std::set<FreeBlock>, kMaxOrder + 1> free_lists_;
+  // Nodes of blocks taken off the lists, reused by the next split or merge:
+  // page_frag region turnover costs no tree-node allocation once warm.
+  NodeRecycler<std::set<FreeBlock>> free_nodes_;
 
-  // LIFO cache of recently freed order-0 pages ("hot" pages).
-  std::deque<uint64_t> hot_cache_;
+  // LIFO cache of recently freed order-0 pages ("hot" pages): a fixed ring
+  // that gives and takes at its newest end and spills its oldest entry, so
+  // page churn never allocates (a std::deque allocated a block per 64).
+  struct HotCache {
+    std::array<uint64_t, kHotCacheCapacity + 1> pfns{};  // +1: push precedes spill
+    size_t oldest = 0;
+    size_t size = 0;
+
+    bool empty() const { return size == 0; }
+    void PushNewest(uint64_t pfn) { pfns[(oldest + size++) % pfns.size()] = pfn; }
+    uint64_t PopNewest() { return pfns[(oldest + --size) % pfns.size()]; }
+    uint64_t PopOldest() {
+      const uint64_t pfn = pfns[oldest];
+      oldest = (oldest + 1) % pfns.size();
+      --size;
+      return pfn;
+    }
+  };
+  HotCache hot_cache_;
 
   StatCounter hot_cache_hits_;
   StatCounter alloc_count_;

@@ -1,7 +1,6 @@
 #include "net/nic_driver.h"
 
 #include <algorithm>
-#include <initializer_list>
 
 #include "dma/bounce_pool.h"
 #include "fault/fault.h"
@@ -11,11 +10,11 @@ namespace spv::net {
 namespace {
 
 // One helper for every driver emit point: packet milestones share the shape
-// (device + length + site), only kind/severity vary. The site is the
-// concatenation of `site_parts`, built only when someone listens.
+// (device + length + site), only kind/severity vary. Sites are the queue's
+// names interned at construction.
 void EmitNicEvent(telemetry::Hub& hub, telemetry::EventKind kind,
                   telemetry::Severity severity, DeviceId device, uint64_t len,
-                  const void* origin, std::initializer_list<std::string_view> site_parts) {
+                  const void* origin, Site site) {
   if (!hub.active()) {
     return;
   }
@@ -25,9 +24,7 @@ void EmitNicEvent(telemetry::Hub& hub, telemetry::EventKind kind,
   event.device = device.value;
   event.len = len;
   event.origin = origin;
-  for (std::string_view part : site_parts) {
-    event.site += part;
-  }
+  event.site = site;
   hub.Publish(std::move(event));
 }
 
@@ -53,11 +50,26 @@ NicDriver::NicDriver(DeviceId device_id, dma::DmaApi& dma, dma::KernelMemory& km
     // Queue 0 keeps the bare device name so its telemetry sites and fault
     // attribution are byte-identical to the historical single-queue driver.
     queue.name = q == 0 ? config_.name : config_.name + ".q" + std::to_string(q);
-    queue.site_alloc_rx_buf = Site::Intern(queue.name + "_alloc_rx_buf");
-    queue.site_map_rx = Site::Intern(queue.name + "_map_rx");
-    queue.site_sync_copybreak = Site::Intern(queue.name + "_sync_copybreak");
-    queue.site_xmit_linear = Site::Intern(queue.name + "_xmit_linear");
-    queue.site_xmit_frag = Site::Intern(queue.name + "_xmit_frag");
+    std::string site = queue.name;
+    const auto intern = [&](std::string_view suffix) {
+      site.resize(queue.name.size());
+      site += suffix;
+      return Site::Intern(site);
+    };
+    queue.site_alloc_rx_buf = intern("_alloc_rx_buf");
+    queue.site_map_rx = intern("_map_rx");
+    queue.site_sync_copybreak = intern("_sync_copybreak");
+    queue.site_xmit_linear = intern("_xmit_linear");
+    queue.site_xmit_frag = intern("_xmit_frag");
+    queue.site_rx = intern("_rx");
+    queue.site_rx_sync = intern("_rx_sync");
+    queue.site_rx_error = intern("_rx_error");
+    queue.site_rx_refill_retry = intern("_rx_refill_retry");
+    queue.site_tx = intern("_tx");
+    queue.site_tx_timeout_reset = intern("_tx_timeout_reset");
+    queue.site_tx_requeue = intern("_tx_requeue");
+    queue.site_xdp_drop = intern("_xdp_drop");
+    queue.site_xdp_tx = intern("_xdp_tx");
     queue.rx_ring.resize(config_.rx_ring_size);
     queue.tx_ring.resize(config_.tx_ring_size);
   }
@@ -76,9 +88,12 @@ bool NicDriver::PollDeadlineHit(Queue& q, uint64_t start_cycle, std::string_view
     return false;
   }
   ++q.poll_deadline_hits;
-  EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicPollDeadline,
-               telemetry::Severity::kWarn, device_id_, clock_.now() - start_cycle,
-               this, {q.name, "_", loop});
+  if (dma_.telemetry().active()) {
+    // Rare (a bounded loop gave up), so the name is interned here.
+    EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicPollDeadline,
+                 telemetry::Severity::kWarn, device_id_, clock_.now() - start_cycle,
+                 this, Site::Intern(q.name + "_" + std::string(loop)));
+  }
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nic.poll_deadline_exceeded").Add();
   }
@@ -234,7 +249,7 @@ uint32_t NicDriver::RetryRefills(uint32_t queue) {
   if (refilled > 0) {
     EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kFaultRecovered,
                  telemetry::Severity::kInfo, device_id_, refilled, this,
-                 {q.name, "_rx_refill_retry"});
+                 q.site_rx_refill_retry);
     if (dma_.telemetry().enabled()) {
       dma_.telemetry().counter("fault.recovered.rx_refill_retry").Add();
     }
@@ -257,7 +272,7 @@ Result<SkBuffPtr> NicDriver::DropRxFrame(uint32_t queue, uint32_t index, uint32_
   q.rx_ring[index].posted = false;
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRxError,
                telemetry::Severity::kWarn, device_id_, pkt_len, this,
-               {q.name, "_rx_error"});
+               q.site_rx_error);
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter(std::string(counter)).Add();
   }
@@ -401,7 +416,7 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
         ++q.xdp_drops;
         EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kXdpDrop,
                      telemetry::Severity::kInfo, device_id_, pkt_len, this,
-                     {q.name, "_xdp_drop"});
+                     q.site_xdp_drop);
         if (dma_.telemetry().enabled()) {
           dma_.telemetry().counter("nic.xdp_drops").Add();
         }
@@ -427,7 +442,7 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
       ++q.xdp_tx;
       EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kXdpTx,
                    telemetry::Severity::kInfo, device_id_, pkt_len, this,
-                   {q.name, "_xdp_tx"});
+                   q.site_xdp_tx);
       if (dma_.telemetry().enabled()) {
         dma_.telemetry().counter("nic.xdp_tx").Add();
       }
@@ -494,7 +509,7 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
     ++q.rx_sync_frames;
     EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRx,
                  telemetry::Severity::kInfo, device_id_, pkt_len, this,
-                 {q.name, "_rx_sync"});
+                 q.site_rx_sync);
     if (dma_.telemetry().enabled()) {
       c_rx_packets_.Get(dma_.telemetry()).Add();
       dma_.telemetry().counter("nic.rx_sync_frames").Add();
@@ -539,7 +554,7 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
   ++q.rx_packets;
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRx,
                telemetry::Severity::kInfo, device_id_, pkt_len, this,
-               {q.name, "_rx"});
+               q.site_rx);
   if (dma_.telemetry().enabled()) {
     c_rx_packets_.Get(dma_.telemetry()).Add();
   }
@@ -639,7 +654,7 @@ Result<uint32_t> NicDriver::TryPostTx(uint32_t queue, SkBuffPtr& skb) {
   ++q.tx_packets;
   EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicTx,
                telemetry::Severity::kInfo, device_id_, slot.linear_len, this,
-               {q.name, "_tx"});
+               q.site_tx);
   if (dma_.telemetry().enabled()) {
     c_tx_packets_.Get(dma_.telemetry()).Add();
   }
@@ -718,7 +733,7 @@ uint32_t NicDriver::CheckTxTimeout(uint32_t queue) {
     ++q.tx_resets;
     EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicTxReset,
                  telemetry::Severity::kWarn, device_id_, timed_out, this,
-                 {q.name, "_tx_timeout_reset"});
+                 q.site_tx_timeout_reset);
     if (dma_.telemetry().enabled()) {
       dma_.telemetry().counter("nic.tx_resets").Add();
       dma_.telemetry().counter("nic.ring_reset").Add();
@@ -750,7 +765,7 @@ uint32_t NicDriver::RequeueTimedOut(uint32_t queue) {
       ++reposted;
       EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kFaultRecovered,
                    telemetry::Severity::kInfo, device_id_, *index, this,
-                   {q.name, "_tx_requeue"});
+                   q.site_tx_requeue);
       if (dma_.telemetry().enabled()) {
         dma_.telemetry().counter("fault.recovered.tx_requeue").Add();
       }

@@ -287,13 +287,22 @@ class NicDriver : public recovery::SupervisedDriver {
 
     CpuId cpu{0};
     std::string name;  // "nic0" for queue 0, "nic0.q1", "nic0.q2", ...
-    // Record sites ("nic0.q1_map_rx", ...), interned once at construction
-    // so the per-packet path composes no strings.
+    // Record and event sites ("nic0.q1_map_rx", "nic0.q1_rx", ...), interned
+    // once at construction so the per-packet path composes no strings.
     Site site_alloc_rx_buf;
     Site site_map_rx;
     Site site_sync_copybreak;
     Site site_xmit_linear;
     Site site_xmit_frag;
+    Site site_rx;
+    Site site_rx_sync;
+    Site site_rx_error;
+    Site site_rx_refill_retry;
+    Site site_tx;
+    Site site_tx_timeout_reset;
+    Site site_tx_requeue;
+    Site site_xdp_drop;
+    Site site_xdp_tx;
     std::vector<RxSlot> rx_ring;
     std::vector<TxSlot> tx_ring;
     std::deque<PendingTx> tx_requeue;  // watchdog-flushed skbs awaiting repost

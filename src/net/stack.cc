@@ -13,7 +13,7 @@ constexpr uint64_t kSkNetOffset = 8;  // sk->sk_net position within the object
 
 // Stack milestones share one shape: a kind + packet length + free-form site.
 void EmitStackEvent(telemetry::Hub& hub, telemetry::EventKind kind, uint64_t len,
-                    const void* origin, std::string_view site) {
+                    const void* origin, Site site) {
   if (!hub.active()) {
     return;
   }
@@ -22,7 +22,7 @@ void EmitStackEvent(telemetry::Hub& hub, telemetry::EventKind kind, uint64_t len
   event.severity = telemetry::Severity::kInfo;
   event.len = len;
   event.origin = origin;
-  event.site = std::string(site);
+  event.site = site;
   hub.Publish(std::move(event));
 }
 
@@ -92,7 +92,7 @@ Status NetworkStack::Deliver(SkBuffPtr skb) {
     ++stats_.rx_length_errors;
     Drop(hub, skb->len, "payload_len over-claims skb length");
     if (hub.enabled()) {
-      hub.counter("stack.rx_length_errors").Add();
+      c_rx_length_errors_.Get(hub).Add();
     }
     return FreeSkb(std::move(skb));
   }
@@ -107,14 +107,14 @@ Status NetworkStack::Deliver(SkBuffPtr skb) {
     EmitStackEvent(hub, telemetry::EventKind::kStackDeliver, skb->len, this,
                    "local delivery");
     if (hub.enabled()) {
-      hub.counter("stack.rx_delivered").Add();
+      c_rx_delivered_.Get(hub).Add();
     }
     if (it->second.echo) {
       SPV_RETURN_IF_ERROR(Echo(*skb));
       ++stats_.echoed;
       EmitStackEvent(hub, telemetry::EventKind::kStackEcho, skb->len, this, "echo service");
       if (hub.enabled()) {
-        hub.counter("stack.echoed").Add();
+        c_echoed_.Get(hub).Add();
       }
     }
     return FreeSkb(std::move(skb));
@@ -127,20 +127,19 @@ Status NetworkStack::Deliver(SkBuffPtr skb) {
   return FreeSkb(std::move(skb));
 }
 
-void NetworkStack::Drop(telemetry::Hub& hub, uint64_t len, std::string_view reason) {
+void NetworkStack::Drop(telemetry::Hub& hub, uint64_t len, Site reason) {
   EmitStackEvent(hub, telemetry::EventKind::kStackDrop, len, this, reason);
   if (hub.enabled()) {
-    hub.counter("stack.rx_dropped").Add();
+    c_rx_dropped_.Get(hub).Add();
   }
 }
 
-void NetworkStack::Shed(uint64_t len, std::string_view path) {
+void NetworkStack::Shed(uint64_t len, Site site) {
   ++stats_.tx_shed;
   telemetry::Hub& hub = slab_.telemetry();
-  EmitStackEvent(hub, telemetry::EventKind::kStackDrop, len, this,
-                 std::string("egress revoked: ") + std::string(path));
+  EmitStackEvent(hub, telemetry::EventKind::kStackDrop, len, this, site);
   if (hub.enabled()) {
-    hub.counter("stack.tx_shed").Add();
+    c_tx_shed_.Get(hub).Add();
   }
 }
 
@@ -154,7 +153,7 @@ Status NetworkStack::Forward(SkBuffPtr skb) {
     if (index.status().code() == StatusCode::kRevoked) {
       // The egress device is quarantined: shed the packet (PostTx already
       // freed the skb) and keep the RX path alive.
-      Shed(len, "ip_forward");
+      Shed(len, "egress revoked: ip_forward");
       return OkStatus();
     }
     return index.status();
@@ -163,7 +162,7 @@ Status NetworkStack::Forward(SkBuffPtr skb) {
   telemetry::Hub& hub = slab_.telemetry();
   EmitStackEvent(hub, telemetry::EventKind::kStackForward, 0, this, "ip_forward");
   if (hub.enabled()) {
-    hub.counter("stack.rx_forwarded").Add();
+    c_rx_forwarded_.Get(hub).Add();
   }
   return OkStatus();
 }
@@ -273,7 +272,7 @@ Status NetworkStack::SendPacket(const PacketHeader& header, std::span<const uint
   Result<uint32_t> index = egress_->PostTx(std::move(*skb));
   if (!index.ok()) {
     if (index.status().code() == StatusCode::kRevoked) {
-      Shed(payload.size(), "sendmsg");
+      Shed(payload.size(), "egress revoked: sendmsg");
       return OkStatus();
     }
     return index.status();
@@ -281,9 +280,9 @@ Status NetworkStack::SendPacket(const PacketHeader& header, std::span<const uint
   ++stats_.tx_sent;
   telemetry::Hub& hub = slab_.telemetry();
   EmitStackEvent(hub, telemetry::EventKind::kStackSend, payload.size(), this,
-                 use_frags ? "sendmsg (frags)" : "sendmsg (linear)");
+                 use_frags ? Site("sendmsg (frags)") : Site("sendmsg (linear)"));
   if (hub.enabled()) {
-    hub.counter("stack.tx_sent").Add();
+    c_tx_sent_.Get(hub).Add();
   }
   return OkStatus();
 }

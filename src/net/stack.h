@@ -102,9 +102,10 @@ class NetworkStack {
   Status Deliver(SkBuffPtr skb);
   Status Forward(SkBuffPtr skb);
   Status Echo(const SkBuff& skb);
-  void Drop(telemetry::Hub& hub, uint64_t len, std::string_view reason);
+  void Drop(telemetry::Hub& hub, uint64_t len, Site reason);
   // Accounts a TX packet dropped on a revoked egress device.
-  void Shed(uint64_t len, std::string_view path);
+  // `site` is the kStackDrop event's "egress revoked: <path>".
+  void Shed(uint64_t len, Site site);
 
   dma::KernelMemory& kmem_;
   slab::SlabAllocator& slab_;
@@ -123,6 +124,14 @@ class NetworkStack {
   std::vector<uint8_t> echo_payload_;
   // NapiComplete's batch of flushed GRO heads, reused the same way.
   std::vector<SkBuffPtr> napi_batch_;
+  // Per-packet hub metrics (telemetry::CachedMetric: resolved on first bump).
+  telemetry::CachedCounter c_rx_length_errors_{"stack.rx_length_errors"};
+  telemetry::CachedCounter c_rx_delivered_{"stack.rx_delivered"};
+  telemetry::CachedCounter c_echoed_{"stack.echoed"};
+  telemetry::CachedCounter c_rx_dropped_{"stack.rx_dropped"};
+  telemetry::CachedCounter c_tx_shed_{"stack.tx_shed"};
+  telemetry::CachedCounter c_rx_forwarded_{"stack.rx_forwarded"};
+  telemetry::CachedCounter c_tx_sent_{"stack.tx_sent"};
 };
 
 }  // namespace spv::net

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <initializer_list>
 
 #include "dma/bounce_pool.h"
 #include "fault/fault.h"
@@ -16,12 +15,11 @@ namespace {
 // deadline reachable on a silent device.
 constexpr uint64_t kPollSpinCycles = 100;
 
-// One helper for every driver emit point, same shape as the NIC's: the site
-// is the concatenation of `site_parts`, built only when someone listens.
+// One helper for every driver emit point, same shape as the NIC's: sites
+// are the driver's names interned at construction.
 void EmitNvmeEvent(telemetry::Hub& hub, telemetry::EventKind kind,
                    telemetry::Severity severity, DeviceId device, uint64_t len,
-                   uint64_t addr, const void* origin,
-                   std::initializer_list<std::string_view> site_parts) {
+                   uint64_t addr, const void* origin, Site site) {
   if (!hub.active()) {
     return;
   }
@@ -32,9 +30,7 @@ void EmitNvmeEvent(telemetry::Hub& hub, telemetry::EventKind kind,
   event.len = len;
   event.addr = addr;
   event.origin = origin;
-  for (std::string_view part : site_parts) {
-    event.site += part;
-  }
+  event.site = site;
   hub.Publish(std::move(event));
 }
 
@@ -51,25 +47,47 @@ NvmeDriver::NvmeDriver(DeviceId device_id, dma::DmaApi& dma,
       frag_pool_(frag_pool),
       clock_(clock),
       config_(std::move(config)),
-      sites_{Site::Intern(config_.name + "_sq"),
-             Site::Intern(config_.name + "_cq"),
-             Site::Intern(config_.name + "_map_sq"),
-             Site::Intern(config_.name + "_map_cq"),
-             Site::Intern(config_.name + "_identify"),
-             Site::Intern(config_.name + "_map_identify"),
-             Site::Intern(config_.name + "_map_data"),
-             Site::Intern(config_.name + "_prp_seg"),
-             Site::Intern(config_.name + "_map_prp")} {}
+      sites_(config_.name) {}
+
+NvmeDriver::Sites::Sites(std::string_view name) {
+  std::string site(name);
+  const auto intern = [&](std::string_view suffix) {
+    site.resize(name.size());
+    site += suffix;
+    return Site::Intern(site);
+  };
+  sq = intern("_sq");
+  cq = intern("_cq");
+  map_sq = intern("_map_sq");
+  map_cq = intern("_map_cq");
+  identify = intern("_identify");
+  map_identify = intern("_map_identify");
+  map_data = intern("_map_data");
+  prp_seg = intern("_prp_seg");
+  map_prp = intern("_map_prp");
+  read = intern("_read");
+  write = intern("_write");
+  complete = intern("_complete");
+  error_status = intern("_error_status");
+  bad_cid = intern("_bad_cid");
+  admin_bad_cid = intern("_admin_bad_cid");
+  short_transfer = intern("_short_transfer");
+  watchdog = intern("_watchdog");
+  mode_switch = intern("_mode_switch");
+}
 
 bool NvmeDriver::PollDeadlineHit(uint64_t start_cycle, std::string_view loop) {
   if (clock_.now() - start_cycle < EffectivePollDeadline()) {
     return false;
   }
   ++poll_deadline_hits_;
-  EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmePollDeadline,
-                telemetry::Severity::kWarn, device_id_,
-                clock_.now() - start_cycle, 0, this,
-                {config_.name, "_", loop});
+  if (dma_.telemetry().active()) {
+    // Rare (a bounded loop gave up), so the name is interned here.
+    EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmePollDeadline,
+                  telemetry::Severity::kWarn, device_id_,
+                  clock_.now() - start_cycle, 0, this,
+                  Site::Intern(config_.name + "_" + std::string(loop)));
+  }
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nvme.poll_deadline_exceeded").Add();
   }
@@ -296,7 +314,7 @@ Result<Cqe> NvmeDriver::AdminCommand(const Sqe& sqe) {
         EmitNvmeEvent(dma_.telemetry(),
                       telemetry::EventKind::kNvmeCompletionError,
                       telemetry::Severity::kWarn, device_id_, 0, cqe->cid, this,
-                      {config_.name, "_admin_bad_cid"});
+                      sites_.admin_bad_cid);
         continue;
       }
       return *cqe;
@@ -442,7 +460,7 @@ Result<uint16_t> NvmeDriver::SubmitIoWithCid(uint8_t opcode, uint64_t slba,
   outstanding_nodes_.Put(outstanding_, use_cid, std::move(cmd));
   EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmeSubmit,
                 telemetry::Severity::kInfo, device_id_, len, iova->value, this,
-                {config_.name, opcode == kOpRead ? "_read" : "_write"});
+                opcode == kOpRead ? sites_.read : sites_.write);
   device_->OnSqDoorbell(kIoQid, io_.sq_tail);
   return use_cid;
 }
@@ -607,7 +625,7 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     ++completion_errors_;
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeCompletionError,
                   telemetry::Severity::kWarn, device_id_, 0, cqe.cid, this,
-                  {config_.name, "_bad_cid"});
+                  sites_.bad_cid);
     if (hub.enabled()) {
       c_completion_errors_.Get(hub).Add();
     }
@@ -622,7 +640,7 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     ++completion_errors_;
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeCompletionError,
                   telemetry::Severity::kWarn, device_id_, transferred, cqe.cid,
-                  this, {config_.name, "_short_transfer"});
+                  this, sites_.short_transfer);
     if (hub.enabled()) {
       c_completion_errors_.Get(hub).Add();
     }
@@ -638,7 +656,7 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     }
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeComplete,
                   telemetry::Severity::kInfo, device_id_, transferred, cqe.cid,
-                  this, {config_.name, "_complete"});
+                  this, sites_.complete);
     if (hub.enabled()) {
       (cmd.opcode == kOpRead ? c_reads_ : c_writes_).Get(hub).Add();
       h_io_latency_cycles_.Get(hub).Record(clock_.now() - cmd.submit_cycle);
@@ -648,7 +666,7 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     ++io_errors_;
     EmitNvmeEvent(hub, telemetry::EventKind::kNvmeComplete,
                   telemetry::Severity::kWarn, device_id_, transferred, cqe.cid,
-                  this, {config_.name, "_error_status"});
+                  this, sites_.error_status);
     if (hub.enabled()) {
       c_io_errors_.Get(hub).Add();
     }
@@ -741,7 +759,7 @@ uint32_t NvmeDriver::CheckTimeouts() {
   ++queue_resets_;
   EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmeQueueReset,
                 telemetry::Severity::kWarn, device_id_, failed, 0, this,
-                {config_.name, "_watchdog"});
+                sites_.watchdog);
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nvme.queue_resets").Add();
   }
@@ -817,7 +835,7 @@ Status NvmeDriver::SwitchServiceMode(dma::ServiceMode next) {
   EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmeQueueReset,
                 telemetry::Severity::kWarn, device_id_, pending.size(),
                 static_cast<uint64_t>(next), this,
-                {config_.name, "_mode_switch"});
+                sites_.mode_switch);
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nvme.mode_switches").Add();
   }

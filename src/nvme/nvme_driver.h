@@ -257,9 +257,11 @@ class NvmeDriver : public recovery::SupervisedDriver {
                : cap;
   }
 
-  // Record sites ("nvme0_map_data", ...), interned once at construction so
-  // the per-command path composes no strings.
+  // Record and event sites ("nvme0_map_data", "nvme0_read", ...), interned
+  // once at construction so the per-command path composes no strings.
   struct Sites {
+    explicit Sites(std::string_view name);
+
     Site sq;
     Site cq;
     Site map_sq;
@@ -269,6 +271,15 @@ class NvmeDriver : public recovery::SupervisedDriver {
     Site map_data;
     Site prp_seg;
     Site map_prp;
+    Site read;
+    Site write;
+    Site complete;
+    Site error_status;
+    Site bad_cid;
+    Site admin_bad_cid;
+    Site short_transfer;
+    Site watchdog;
+    Site mode_switch;
   };
 
   DeviceId device_id_;

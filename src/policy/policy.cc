@@ -105,7 +105,7 @@ void PolicyEngine::Publish(telemetry::EventKind kind, DeviceId device, TrustStat
   event.aux = static_cast<uint64_t>(next);
   event.flag = refused;
   event.origin = this;
-  event.site = std::string(reason);
+  event.site = telemetry::EventSite::Own(reason);  // the caller's text
   hub_.Publish(std::move(event));
   if (hub_.enabled()) {
     if (refused) {

@@ -56,7 +56,7 @@ const RecoveryConfig& RecoveryManager::effective_config(DeviceId device) const {
 }
 
 void RecoveryManager::Emit(telemetry::EventKind kind, telemetry::Severity severity,
-                           DeviceId device, uint64_t aux, std::string site) {
+                           DeviceId device, uint64_t aux, telemetry::EventSite site) {
   if (!hub_.active()) {
     return;
   }
@@ -120,7 +120,7 @@ Status RecoveryManager::DoQuarantine(DeviceId device, Supervised& entry,
   ++entry.quarantines;
   ++total_quarantines_;
   Emit(telemetry::EventKind::kDeviceQuarantined, telemetry::Severity::kWarn, device,
-       *revoked, std::string(reason));
+       *revoked, telemetry::EventSite::Own(reason));
   if (hub_.enabled()) {
     hub_.counter("recovery.quarantines").Add();
     hub_.histogram("recovery.quarantine_latency_cycles").Record(clock_.now() - start);
@@ -184,7 +184,7 @@ void RecoveryManager::DoDetach(DeviceId device, Supervised& entry,
   scorer_.Untrack(device);
   ++total_detaches_;
   Emit(telemetry::EventKind::kDeviceDetached, telemetry::Severity::kCritical, device,
-       entry.reattach_attempts, std::string(reason));
+       entry.reattach_attempts, telemetry::EventSite::Own(reason));
   if (hub_.enabled()) {
     hub_.counter("recovery.permanent_detaches").Add();
   }

@@ -152,7 +152,7 @@ class RecoveryManager {
   void DoReattach(DeviceId device, Supervised& entry);
   void DoDetach(DeviceId device, Supervised& entry, std::string_view reason);
   void Emit(telemetry::EventKind kind, telemetry::Severity severity, DeviceId device,
-            uint64_t aux, std::string site);
+            uint64_t aux, telemetry::EventSite site);
 
   iommu::Iommu& iommu_;
   dma::DmaApi& dma_;

@@ -14,6 +14,7 @@
 #ifndef SPV_SLAB_OBSERVER_H_
 #define SPV_SLAB_OBSERVER_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string_view>
 
@@ -27,7 +28,8 @@ class SlabObserver {
   virtual ~SlabObserver() = default;
 
   // `site` is the allocating location (function+offset), as KASAN would
-  // recover from the return address.
+  // recover from the return address. It is a Site's name, valid for the
+  // whole process, so an observer may keep the view.
   virtual void OnAlloc(Kva kva, uint64_t size, std::string_view site) = 0;
   virtual void OnFree(Kva kva, uint64_t size) = 0;
 };
@@ -49,6 +51,7 @@ class SlabObserverSink : public telemetry::EventSink {
     switch (event.kind) {
       case telemetry::EventKind::kSlabAlloc:
       case telemetry::EventKind::kFragAlloc:
+        assert(!event.site.owned() && "allocation events carry a Site");
         observer_->OnAlloc(Kva{event.addr}, event.len, event.site);
         break;
       case telemetry::EventKind::kSlabFree:

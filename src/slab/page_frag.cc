@@ -180,7 +180,7 @@ std::vector<FragInfo> PageFragPool::LiveFragsOnPage(Pfn pfn) const {
   return out;
 }
 
-void PageFragPool::Notify(bool alloc, Kva kva, uint64_t size, std::string_view site) {
+void PageFragPool::Notify(bool alloc, Kva kva, uint64_t size, Site site) {
   telemetry::Hub& hub = telemetry();
   if (!hub.active()) {
     return;
@@ -192,12 +192,12 @@ void PageFragPool::Notify(bool alloc, Kva kva, uint64_t size, std::string_view s
   event.addr = kva.value;
   event.len = size;
   event.origin = this;
-  event.site = std::string(site);
+  event.site = site;
   hub.Publish(std::move(event));
   if (hub.enabled()) {
-    hub.counter(alloc ? "frag.allocs" : "frag.frees").Add();
+    (alloc ? c_allocs_ : c_frees_).Get(hub).Add();
     if (alloc) {
-      hub.histogram("frag.alloc_bytes").Record(size);
+      h_alloc_bytes_.Get(hub).Record(size);
     }
   }
 }

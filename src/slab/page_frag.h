@@ -101,7 +101,7 @@ class PageFragPool {
 
   Result<Region*> RefillRegion(uint64_t bytes);
   void MaybeReleaseRegion(uint64_t head_pfn);
-  void Notify(bool alloc, Kva kva, uint64_t size, std::string_view site);
+  void Notify(bool alloc, Kva kva, uint64_t size, Site site);
 
   mem::PageDb& page_db_;
   mem::PageAllocator& page_alloc_;
@@ -115,6 +115,9 @@ class PageFragPool {
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected
   std::vector<std::unique_ptr<SlabObserverSink>> observer_sinks_;
+  telemetry::CachedCounter c_allocs_{"frag.allocs"};
+  telemetry::CachedCounter c_frees_{"frag.frees"};
+  telemetry::CachedHistogram h_alloc_bytes_{"frag.alloc_bytes"};
   uint64_t regions_allocated_ = 0;
   fault::FaultEngine* fault_ = nullptr;
 };

@@ -49,9 +49,9 @@ Result<Kva> SlabAllocator::Kmalloc(uint64_t size, Site site) {
 
   // Find a partial slab page (MRU first, like SLUB's per-cpu active slab).
   while (!cache.partial.empty()) {
-    const SlabPage* partial = slab_pages_.Find(cache.partial.front().value);
+    const SlabPage* partial = slab_pages_.Find(cache.partial.back().value);
     if (partial == nullptr || partial->free_stack.empty()) {
-      cache.partial.pop_front();
+      cache.partial.pop_back();
       continue;
     }
     break;
@@ -61,10 +61,10 @@ Result<Kva> SlabAllocator::Kmalloc(uint64_t size, Site site) {
     if (!page.ok()) {
       return page.status();
     }
-    cache.partial.push_front(*page);
+    cache.partial.push_back(*page);
   }
 
-  SlabPage& page = *slab_pages_.Find(cache.partial.front().value);
+  SlabPage& page = *slab_pages_.Find(cache.partial.back().value);
   const uint16_t slot = page.free_stack.back();
   const Kva kva = SlotKva(page, slot);
   // kzalloc semantics. Zero before carving the slot so a physical-memory
@@ -83,14 +83,14 @@ Result<Kva> SlabAllocator::Kmalloc(uint64_t size, Site site) {
   page.sites[slot] = site;
   ++page.used;
   if (page.free_stack.empty()) {
-    cache.partial.pop_front();  // page is now full
+    cache.partial.pop_back();  // page is now full
   }
 
   ++live_objects_;
   if (hub_ != nullptr && hub_->enabled()) {
     // Objects co-resident on this 4 KiB page after the allocation — the raw
     // material of the paper's type (b)/(d) sub-page exposure.
-    hub_->histogram("slab.co_residency").Record(page.used);
+    h_co_residency_.Get(*hub_).Record(page.used);
   }
   Notify(/*alloc=*/true, kva, cache.object_size, site);
   return kva;
@@ -199,8 +199,8 @@ Status SlabAllocator::Kfree(Kva kva) {
 
   Cache& cache = caches_[page.cache_id];
   if (was_used == page.capacity) {
-    // Page had been full; it is partial again. MRU front for LIFO reuse.
-    cache.partial.push_front(page.pfn);
+    // Page had been full; it is partial again. MRU end for LIFO reuse.
+    cache.partial.push_back(page.pfn);
   }
   if (page.used == 0) {
     // Empty slab: release the page back to the buddy allocator.
@@ -294,7 +294,7 @@ void SlabAllocator::RemoveObserver(SlabObserver* observer) {
   }
 }
 
-void SlabAllocator::Notify(bool alloc, Kva kva, uint64_t size, std::string_view site) {
+void SlabAllocator::Notify(bool alloc, Kva kva, uint64_t size, Site site) {
   telemetry::Hub& hub = telemetry();
   if (!hub.active()) {
     return;
@@ -305,12 +305,12 @@ void SlabAllocator::Notify(bool alloc, Kva kva, uint64_t size, std::string_view 
   event.addr = kva.value;
   event.len = size;
   event.origin = this;
-  event.site = std::string(site);
+  event.site = site;
   hub.Publish(std::move(event));
   if (hub.enabled()) {
-    hub.counter(alloc ? "slab.allocs" : "slab.frees").Add();
+    (alloc ? c_allocs_ : c_frees_).Get(hub).Add();
     if (alloc) {
-      hub.histogram("slab.alloc_bytes").Record(size);
+      h_alloc_bytes_.Get(hub).Record(size);
     }
   }
 }

@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -121,13 +120,15 @@ class SlabAllocator {
     uint16_t id = 0;
     uint32_t object_size = 0;
     uint32_t objects_per_page = 0;
-    std::deque<Pfn> partial;  // pages with at least one free slot (MRU front)
+    // Pages with at least one free slot, most recently used at the back: a
+    // vector keeps its capacity, so partial/full churn never allocates.
+    std::vector<Pfn> partial;
   };
 
   Result<Kva> KmallocLarge(uint64_t size, Site site);
   Result<Pfn> NewSlabPage(Cache& cache);
   Kva SlotKva(const SlabPage& page, uint32_t slot) const;
-  void Notify(bool alloc, Kva kva, uint64_t size, std::string_view site);
+  void Notify(bool alloc, Kva kva, uint64_t size, Site site);
 
   mem::PhysicalMemory& pm_;
   mem::PageDb& page_db_;
@@ -144,6 +145,10 @@ class SlabAllocator {
   telemetry::Hub* hub_;
   std::unique_ptr<telemetry::Hub> owned_hub_;  // fallback when none injected
   std::vector<std::unique_ptr<SlabObserverSink>> observer_sinks_;
+  telemetry::CachedCounter c_allocs_{"slab.allocs"};
+  telemetry::CachedCounter c_frees_{"slab.frees"};
+  telemetry::CachedHistogram h_alloc_bytes_{"slab.alloc_bytes"};
+  telemetry::CachedHistogram h_co_residency_{"slab.co_residency"};
   StatCounter live_objects_;
   fault::FaultEngine* fault_ = nullptr;
 };

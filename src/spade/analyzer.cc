@@ -77,8 +77,9 @@ Result<std::vector<SiteFinding>> SpadeAnalyzer::Analyze() {
                   (finding.via_build_skb ? 32u : 0u);
       event.flag = finding.possible_false_positive;
       event.origin = this;
-      event.site = finding.file + ":" + std::to_string(finding.line) + " " +
-                   finding.function + " -> " + finding.callee;
+      // Run-time text (the finding's file, line and call), so the event owns it.
+      event.site = telemetry::EventSite::Own({finding.file, ":", std::to_string(finding.line),
+                                              " ", finding.function, " -> ", finding.callee});
       hub_->Publish(std::move(event));
       if (hub_->enabled()) {
         hub_->counter("spade.vulnerable_sites").Add();

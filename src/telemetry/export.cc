@@ -240,7 +240,7 @@ std::vector<Event> ParseTraceCsv(std::string_view csv) {
     event.severity = *severity;
     event.device = static_cast<uint32_t>(device);
     event.flag = flag != 0;
-    event.site = fields[has_span ? 11 : 10];
+    event.site = EventSite::Own(fields[has_span ? 11 : 10]);
     events.push_back(std::move(event));
   }
   return events;

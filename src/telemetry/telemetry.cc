@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
+#include <ostream>
 
 #include "base/exec.h"
 
@@ -12,7 +14,7 @@ namespace {
 
 struct KindName {
   EventKind kind;
-  std::string_view name;
+  Site name;
 };
 
 // Kept in declaration order; names are the stable export vocabulary.
@@ -88,7 +90,9 @@ std::optional<Severity> SeverityFromName(std::string_view name) {
   return std::nullopt;
 }
 
-std::string_view EventKindName(EventKind kind) {
+std::string_view EventKindName(EventKind kind) { return EventKindSite(kind); }
+
+Site EventKindSite(EventKind kind) {
   for (const KindName& entry : kKindNames) {
     if (entry.kind == kind) {
       return entry.name;
@@ -105,6 +109,30 @@ std::optional<EventKind> EventKindFromName(std::string_view name) {
   }
   return std::nullopt;
 }
+
+// ---- EventSite -----------------------------------------------------------------
+
+EventSite EventSite::Own(std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (std::string_view part : parts) {
+    size += part.size();
+  }
+  EventSite site;
+  if (size == 0) {
+    return site;
+  }
+  std::shared_ptr<char[]> text = std::make_shared_for_overwrite<char[]>(size);
+  char* at = text.get();
+  for (std::string_view part : parts) {
+    std::memcpy(at, part.data(), part.size());
+    at += part.size();
+  }
+  site.view_ = std::string_view(text.get(), size);
+  site.text_ = std::move(text);
+  return site;
+}
+
+std::ostream& operator<<(std::ostream& out, const EventSite& site) { return out << site.view_; }
 
 // ---- Histogram -----------------------------------------------------------------
 
@@ -170,21 +198,25 @@ std::vector<Histogram::Bucket> Histogram::NonZeroBuckets() const {
 
 TraceRing::TraceRing(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {}
 
-bool TraceRing::Push(Event event) {
+bool TraceRing::Push(const Event& event) {
   if (event.severity < min_severity_) {
     ++filtered_;
     return false;
   }
-  event.seq = next_seq_;
+  Event* slot;
   if (slots_.size() < capacity_) {
-    slots_.push_back(std::move(event));
+    if (slots_.capacity() < capacity_) {
+      slots_.reserve(capacity_);
+    }
+    slot = &slots_.emplace_back(event);
   } else {
     // Overwriting a live record: account the loss under the severity of what
     // is being lost, not of what is being written.
-    Event& slot = slots_[next_seq_ % capacity_];
-    ++dropped_by_severity_[static_cast<size_t>(slot.severity)];
-    slot = std::move(event);
+    slot = &slots_[next_seq_ % capacity_];
+    ++dropped_by_severity_[static_cast<size_t>(slot->severity)];
+    *slot = event;
   }
+  slot->seq = next_seq_;
   ++next_seq_;
   return true;
 }
@@ -246,7 +278,7 @@ void Hub::Dispatch(Event event) {
     event.span = current_span_;
   }
   if (enabled_) {
-    ring_.Push(event);  // Push copies seq into its slot; sinks see seq 0
+    ring_.Push(event);  // stamps seq on its own slot; sinks see seq 0
   }
   for (EventSink* sink : sinks_) {
     sink->OnEvent(event);

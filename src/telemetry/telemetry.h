@@ -19,6 +19,14 @@
 // dispatch. Sinks always receive events; *recording* (ring + counters) is
 // gated by `enabled` so a disabled Hub with no sinks costs one branch per
 // emit site (components guard with `active()` before building an Event).
+//
+// An observed event costs no heap. Event::site is an EventSite: a borrowed
+// view of a name that lives for the process (a string literal or a
+// spv::Site, such as the per-queue names drivers intern at construction),
+// so publishing, recording in the ring and fanning out copy two words. Only
+// text built from run-time values — attack-stage narration, D-KASAN report
+// lines, SPADE findings, operator-supplied reasons, rows parsed back from a
+// CSV — owns storage, through EventSite::Own(); see DESIGN.md §6.
 
 #ifndef SPV_TELEMETRY_TELEMETRY_H_
 #define SPV_TELEMETRY_TELEMETRY_H_
@@ -26,6 +34,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
@@ -37,6 +47,7 @@
 
 #include "base/clock.h"
 #include "base/maybe_mutex.h"
+#include "base/site.h"
 #include "base/spsc_ring.h"
 
 namespace spv::telemetry {
@@ -131,7 +142,50 @@ enum class EventKind : uint8_t {
 };
 
 std::string_view EventKindName(EventKind kind);
+// The same name as a Site, for events that carry a kind name as their site.
+Site EventKindSite(EventKind kind);
 std::optional<EventKind> EventKindFromName(std::string_view name);
+
+// The site an Event carries.
+//
+//  * A name that lives for the process — a string literal or any spv::Site —
+//    is borrowed: the EventSite is a view, and copying it copies two words.
+//  * Run-time text is wrapped with Own(), which copies it once into a
+//    shared, immutable buffer. Every copy of the event (the trace ring slot,
+//    the kThreads SPSC hop, a Snapshot, a D-KASAN or forensics record) shares
+//    that buffer, so the text outlives its emitter. Own() is for text that
+//    differs from event to event (it carries addresses or counts); it never
+//    goes through Site::Intern, whose table is never freed.
+//
+// A std::string or std::string_view does not convert, so an emitter cannot
+// put a view of a temporary on the bus by accident.
+class EventSite {
+ public:
+  EventSite() = default;
+  EventSite(Site site) : view_(site) {}  // NOLINT(google-explicit-constructor)
+  template <size_t N>
+  EventSite(const char (&literal)[N])  // NOLINT(google-explicit-constructor)
+      : view_(literal) {}
+
+  // Owned run-time text: the concatenation of `parts`, in one allocation.
+  static EventSite Own(std::initializer_list<std::string_view> parts);
+  static EventSite Own(std::string_view text) { return Own({text}); }
+
+  std::string_view view() const { return view_; }
+  operator std::string_view() const { return view_; }  // NOLINT
+  bool empty() const { return view_.empty(); }
+  // True when this site owns run-time text rather than borrowing a name.
+  bool owned() const { return text_ != nullptr; }
+
+  friend bool operator==(const EventSite& site, std::string_view name) {
+    return site.view_ == name;
+  }
+  friend std::ostream& operator<<(std::ostream& out, const EventSite& site);
+
+ private:
+  std::string_view view_;
+  std::shared_ptr<const char[]> text_;  // null for a borrowed name
+};
 
 // One timestamped record. Field meaning is kind-specific but consistent:
 // `addr` is the primary (kernel-virtual) address, `addr2` the secondary
@@ -154,7 +208,10 @@ struct Event {
   // The emitting component, for observer bridging (never exported). Lets one
   // Hub serve several DmaApis / pools without cross-talk between bridges.
   const void* origin = nullptr;
-  std::string site;  // call site or free-form detail
+  // Call site or free-form detail: a borrowed name, or owned run-time text
+  // (see EventSite). Slab, frag and DMA-map events always borrow, so
+  // observers may keep those views for as long as the process runs.
+  EventSite site;
 };
 
 // A consumer on the bus. Sinks see every published Event regardless of the
@@ -249,10 +306,13 @@ class Histogram {
 
 // ---- Trace ring ----------------------------------------------------------------
 
-// Fixed-capacity single-writer ring. Slots are appended until the ring is
-// full, so an idle ring costs no Event construction; from then on the push
-// path overwrites in place (slot index is seq % capacity) and accounts the
-// oldest record as dropped. A severity floor filters before recording.
+// Fixed-capacity single-writer ring. The slot array is reserved once, at the
+// first push, so an idle ring costs no memory and a filling ring never
+// relocates its slots; slots are appended until the ring is full and from
+// then on the push path overwrites in place (slot index is seq % capacity)
+// and accounts the oldest record as dropped. Reserving writes no slot, so
+// the pages behind the array are touched only as records land. A severity
+// floor filters before recording.
 class TraceRing {
  public:
   explicit TraceRing(size_t capacity);
@@ -261,7 +321,7 @@ class TraceRing {
   Severity min_severity() const { return min_severity_; }
 
   // Returns true if the event was recorded (not severity-filtered).
-  bool Push(Event event);
+  bool Push(const Event& event);
 
   // Live records, oldest first.
   std::vector<Event> Snapshot() const;
@@ -282,7 +342,7 @@ class TraceRing {
 
  private:
   size_t capacity_;
-  std::vector<Event> slots_;  // grows to capacity_, then wraps
+  std::vector<Event> slots_;  // reserved to capacity_ at the first push, then wraps
   uint64_t next_seq_ = 0;  // count of accepted events; next slot = seq % capacity
   uint64_t filtered_ = 0;
   std::array<uint64_t, 4> dropped_by_severity_{};

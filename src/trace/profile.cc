@@ -102,7 +102,7 @@ std::vector<Instant> CollectInstants(const std::vector<telemetry::Event>& events
     Instant instant;
     instant.cycle = event.cycle;
     instant.name = std::string(telemetry::EventKindName(event.kind));
-    instant.detail = event.site;
+    instant.detail = event.site.view();
     instant.span = event.span;
     instants.push_back(std::move(instant));
   }

@@ -37,7 +37,7 @@ SpanRecord* Tracer::Find(SpanId id) {
   return &records_[id.value - 1];
 }
 
-SpanId Tracer::Open(std::string_view name) {
+SpanId Tracer::Open(Site name) {
   if (!config_.enabled) {
     return kNoSpan;
   }
@@ -48,7 +48,7 @@ SpanId Tracer::Open(std::string_view name) {
   SpanRecord record;
   record.id = SpanId{records_.size() + 1};
   record.parent = current();
-  record.name = std::string(name);
+  record.name = name;
   record.open_cycle = clock_.now();
   records_.push_back(record);
   stack_.push_back(record.id);
@@ -59,7 +59,7 @@ SpanId Tracer::Open(std::string_view name) {
   return record.id;
 }
 
-SpanId Tracer::OpenDetached(std::string_view name, SpanId parent) {
+SpanId Tracer::OpenDetached(Site name, SpanId parent) {
   if (!config_.enabled) {
     return kNoSpan;
   }
@@ -70,7 +70,7 @@ SpanId Tracer::OpenDetached(std::string_view name, SpanId parent) {
   SpanRecord record;
   record.id = SpanId{records_.size() + 1};
   record.parent = parent;
-  record.name = std::string(name);
+  record.name = name;
   record.open_cycle = clock_.now();
   record.detached = true;
   records_.push_back(record);

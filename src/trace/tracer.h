@@ -13,9 +13,11 @@
 //
 // Cost model: emit sites hold a `Tracer*` that is null (or disabled) when
 // tracing is off, so the disabled hot path pays exactly one pointer test —
-// the "zero new hot-path branches" budget of ISSUE 4 (the branch replaces
-// nothing; it is the same guard shape as the existing `hub && hub->active()`
-// telemetry gates).
+// the same guard shape as the `hub && hub->active()` telemetry gates. With
+// tracing on, a span costs no heap either: span names are Sites (string
+// literals at every Open), so a SpanRecord and its kSpanOpen/kSpanClose
+// events borrow the name instead of copying it. Records rebuilt from a
+// parsed trace (BuildSpanForest) share the events' owned text.
 
 #ifndef SPV_TRACE_TRACER_H_
 #define SPV_TRACE_TRACER_H_
@@ -44,7 +46,7 @@ inline constexpr SpanId kNoSpan{};
 struct SpanRecord {
   SpanId id;
   SpanId parent;        // kNoSpan for roots
-  std::string name;
+  telemetry::EventSite name;  // borrowed Site, or text shared with a parsed event
   uint64_t open_cycle = 0;
   uint64_t close_cycle = 0;
   bool closed = false;
@@ -77,11 +79,11 @@ class Tracer {
 
   // Opens a span nested under the currently open one (stack discipline).
   // Returns kNoSpan when disabled or when max_records is exhausted.
-  SpanId Open(std::string_view name);
+  SpanId Open(Site name);
 
   // Opens a span with an explicit parent, outside the stack — for windows
   // and other operations whose lifetime does not follow call structure.
-  SpanId OpenDetached(std::string_view name, SpanId parent = kNoSpan);
+  SpanId OpenDetached(Site name, SpanId parent = kNoSpan);
 
   // Closes `id`. Spans still open above it on the stack are closed first
   // (implicit close, same cycle) so the stack discipline self-heals. Closing
@@ -120,7 +122,7 @@ class Tracer {
 // ScopedSpan — the null/disabled case costs one branch.
 class ScopedSpan {
  public:
-  ScopedSpan(Tracer* tracer, std::string_view name)
+  ScopedSpan(Tracer* tracer, Site name)
       : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
         id_(tracer_ != nullptr ? tracer_->Open(name) : kNoSpan) {}
   ~ScopedSpan() {

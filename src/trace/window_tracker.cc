@@ -83,7 +83,7 @@ size_t WindowTracker::NewWindow(WindowKind kind, const telemetry::Event& event,
   window.open_cycle = event.cycle;
   if (tracer_ != nullptr) {
     window.span = tracer_->OpenDetached(
-        kind == WindowKind::kStaleIotlb ? "window.stale" : "window.subpage",
+        kind == WindowKind::kStaleIotlb ? Site("window.stale") : Site("window.subpage"),
         SpanId{hub_.current_span()});
   }
   windows_.push_back(std::move(window));
@@ -105,34 +105,57 @@ void WindowTracker::PublishWindowEvent(const Window& window, bool open,
   event.flag = window.detected;
   event.span = window.span.value;  // 0 lets the Hub stamp the current span
   event.origin = this;
-  event.site = std::string("window.") +
-               (window.kind == WindowKind::kStaleIotlb ? "stale" : "subpage");
-  if (!open && !window.close_reason.empty()) {
-    event.site += ":" + window.close_reason;
-  }
+  event.site = WindowSite(window.kind, open ? std::string_view() : window.close_reason);
   hub_.Publish(std::move(event));
 }
 
-void WindowTracker::CloseWindow(size_t index, uint64_t cycle, std::string reason) {
+Site WindowTracker::WindowSite(WindowKind kind, std::string_view close_reason) {
+  const bool stale = kind == WindowKind::kStaleIotlb;
+  if (close_reason.empty()) {
+    return stale ? Site("window.stale") : Site("window.subpage");
+  }
+  for (const WindowSiteEntry& entry : window_sites_) {
+    if (entry.kind == kind && entry.close_reason == close_reason) {
+      return entry.site;
+    }
+  }
+  std::string name = stale ? "window.stale:" : "window.subpage:";
+  name += close_reason;
+  const Site site = Site::Intern(name);
+  window_sites_.push_back(WindowSiteEntry{kind, close_reason, site});
+  return site;
+}
+
+Site WindowTracker::FlushCloseReason(std::string_view flush_site) {
+  const size_t colon = flush_site.find(':');
+  if (colon == std::string_view::npos) {
+    return "flush";
+  }
+  for (const FlushReasonEntry& entry : flush_reasons_) {
+    if (entry.flush_site == flush_site) {
+      return entry.reason;
+    }
+  }
+  std::string reason = "flush:";
+  reason += flush_site.substr(colon + 1);
+  flush_reasons_.push_back(FlushReasonEntry{std::string(flush_site), Site::Intern(reason)});
+  return flush_reasons_.back().reason;
+}
+
+void WindowTracker::CloseWindow(size_t index, uint64_t cycle, Site reason) {
   Window& window = windows_[index];
   if (!window.open) {
     return;
   }
   window.open = false;
   window.close_cycle = cycle;
-  window.close_reason = std::move(reason);
+  window.close_reason = reason;
   const uint64_t duration = window.duration();
-  telemetry::Histogram& internal = window.kind == WindowKind::kStaleIotlb
-                                       ? stale_open_cycles_
-                                       : subpage_open_cycles_;
-  internal.Record(duration);
+  const bool stale = window.kind == WindowKind::kStaleIotlb;
+  (stale ? stale_open_cycles_ : subpage_open_cycles_).Record(duration);
   if (hub_.enabled()) {
-    hub_.counter(window.kind == WindowKind::kStaleIotlb ? "window.stale.closed"
-                                                        : "window.subpage.closed")
-        .Add();
-    hub_.histogram(window.kind == WindowKind::kStaleIotlb ? "window.stale.open_cycles"
-                                                          : "window.subpage.open_cycles")
-        .Record(duration);
+    (stale ? c_stale_closed_ : c_subpage_closed_).Get(hub_).Add();
+    (stale ? h_stale_open_cycles_ : h_subpage_open_cycles_).Get(hub_).Record(duration);
   }
   PublishWindowEvent(window, /*open=*/false,
                      window.kind == WindowKind::kStaleIotlb
@@ -157,9 +180,9 @@ void WindowTracker::OnDmaMap(const telemetry::Event& event) {
   if (index == SIZE_MAX) {
     return;
   }
-  open_subpage_[{event.device, page}] = index;
+  open_subpage_nodes_.Put(open_subpage_, {event.device, page}, index);
   if (hub_.enabled()) {
-    hub_.counter("window.subpage.opened").Add();
+    c_subpage_opened_.Get(hub_).Add();
   }
   PublishWindowEvent(windows_[index], /*open=*/true, telemetry::Severity::kTrace);
 }
@@ -171,7 +194,7 @@ void WindowTracker::OnDmaUnmap(const telemetry::Event& event) {
   // The mapping is gone either way: close its sub-page window.
   if (auto it = open_subpage_.find({event.device, page}); it != open_subpage_.end()) {
     CloseWindow(it->second, event.cycle, "unmap");
-    open_subpage_.erase(it);
+    open_subpage_nodes_.Take(open_subpage_, it);
   }
 
   if (!config_.iommu_enabled) {
@@ -211,9 +234,9 @@ void WindowTracker::OnDmaUnmap(const telemetry::Event& event) {
     const uint64_t duration = window.duration();
     stale_open_cycles_.Record(duration);
     if (hub_.enabled()) {
-      hub_.counter("window.stale.opened").Add();
-      hub_.counter("window.stale.closed").Add();
-      hub_.histogram("window.stale.open_cycles").Record(duration);
+      c_stale_opened_.Get(hub_).Add();
+      c_stale_closed_.Get(hub_).Add();
+      h_stale_open_cycles_.Get(hub_).Record(duration);
     }
     PublishWindowEvent(window, /*open=*/false, telemetry::Severity::kInfo);
     windows_.push_back(std::move(window));
@@ -228,7 +251,7 @@ void WindowTracker::OnDmaUnmap(const telemetry::Event& event) {
   }
   open_stale_.push_back(index);
   if (hub_.enabled()) {
-    hub_.counter("window.stale.opened").Add();
+    c_stale_opened_.Get(hub_).Add();
   }
   PublishWindowEvent(windows_[index], /*open=*/true, telemetry::Severity::kInfo);
 }
@@ -236,10 +259,7 @@ void WindowTracker::OnDmaUnmap(const telemetry::Event& event) {
 void WindowTracker::OnFlush(const telemetry::Event& event) {
   // FlushNow drains the whole queue: every open stale window closes here.
   // site is "flush_now:<reason>"; keep the reason in the close record.
-  std::string reason = "flush";
-  if (const size_t colon = event.site.find(':'); colon != std::string::npos) {
-    reason = "flush:" + event.site.substr(colon + 1);
-  }
+  const Site reason = FlushCloseReason(event.site);
   for (const size_t index : open_stale_) {
     CloseWindow(index, event.cycle, reason);
   }
@@ -274,7 +294,7 @@ void WindowTracker::OnStaleHit(const telemetry::Event& event) {
   }
   ++window.device_hits;
   if (hub_.enabled()) {
-    hub_.counter("window.stale.hits").Add();
+    c_stale_hits_.Get(hub_).Add();
   }
 }
 
@@ -306,9 +326,8 @@ void WindowTracker::OnDetection(const telemetry::Event& event, bool dkasan) {
     window.detect_cycle = event.cycle;
   }
   if (hub_.enabled()) {
-    hub_.histogram(dkasan ? "window.detect_latency.dkasan" : "window.detect_latency.spade")
-        .Record(latency);
-    hub_.counter(dkasan ? "window.detected.dkasan" : "window.detected.spade").Add();
+    (dkasan ? h_latency_dkasan_ : h_latency_spade_).Get(hub_).Record(latency);
+    (dkasan ? c_detected_dkasan_ : c_detected_spade_).Get(hub_).Add();
   }
   // D-KASAN is a runtime detector: its report ends the exploitable interval
   // (the kernel now knows). SPADE is static analysis over sites — a finding

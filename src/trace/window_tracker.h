@@ -37,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "base/node_recycler.h"
+#include "base/site.h"
 #include "telemetry/telemetry.h"
 #include "trace/tracer.h"
 
@@ -63,7 +65,8 @@ struct Window {
   uint64_t first_hit_cycle = 0;
   bool detected = false;          // a detector fired while it was open
   uint64_t detect_cycle = 0;
-  std::string close_reason;       // "flush:<reason>" / "unmap" / "detected:<d>"
+  // "flush:<reason>" / "unmap" / "strict" / "detected:<d>": a Site's name.
+  std::string_view close_reason;
 
   uint64_t duration() const { return open ? 0 : close_cycle - open_cycle; }
 };
@@ -120,9 +123,13 @@ class WindowTracker : public telemetry::EventSink {
   // Returns SIZE_MAX when the record budget is exhausted.
   size_t NewWindow(WindowKind kind, const telemetry::Event& event, uint64_t iova_page,
                    uint64_t pages, uint64_t exposed);
-  void CloseWindow(size_t index, uint64_t cycle, std::string reason);
+  void CloseWindow(size_t index, uint64_t cycle, Site reason);
   void PublishWindowEvent(const Window& window, bool open,
                           telemetry::Severity severity);
+  // The close reason for a flush event whose site is "flush_now:<reason>".
+  Site FlushCloseReason(std::string_view flush_site);
+  // A window event's site, "window.<kind>[:<close reason>]".
+  Site WindowSite(WindowKind kind, std::string_view close_reason);
 
   telemetry::Hub& hub_;
   Tracer* tracer_;
@@ -130,9 +137,38 @@ class WindowTracker : public telemetry::EventSink {
 
   std::vector<Window> windows_;
   std::vector<size_t> open_stale_;                    // indices into windows_
-  std::map<std::pair<uint32_t, uint64_t>, size_t> open_subpage_;  // (dev, page)
+  using SubpageIndex = std::map<std::pair<uint32_t, uint64_t>, size_t>;  // (dev, page)
+  SubpageIndex open_subpage_;
+  NodeRecycler<SubpageIndex> open_subpage_nodes_;  // one map/unmap pair reuses a node
   std::vector<PendingStrictInvalidation> pending_strict_;
   uint64_t dropped_windows_ = 0;
+
+  // Composed names, interned on first use. Both sets are small and fixed
+  // (a handful of flush reasons, two kinds times a few close reasons), so a
+  // window opens and closes without building a string.
+  struct FlushReasonEntry {
+    std::string flush_site;  // owned: a synthetic event's site may be run-time text
+    Site reason;
+  };
+  struct WindowSiteEntry {
+    WindowKind kind;
+    std::string_view close_reason;  // a Site's name
+    Site site;
+  };
+  std::vector<FlushReasonEntry> flush_reasons_;
+  std::vector<WindowSiteEntry> window_sites_;
+
+  telemetry::CachedCounter c_stale_opened_{"window.stale.opened"};
+  telemetry::CachedCounter c_stale_closed_{"window.stale.closed"};
+  telemetry::CachedCounter c_stale_hits_{"window.stale.hits"};
+  telemetry::CachedCounter c_subpage_opened_{"window.subpage.opened"};
+  telemetry::CachedCounter c_subpage_closed_{"window.subpage.closed"};
+  telemetry::CachedCounter c_detected_dkasan_{"window.detected.dkasan"};
+  telemetry::CachedCounter c_detected_spade_{"window.detected.spade"};
+  telemetry::CachedHistogram h_stale_open_cycles_{"window.stale.open_cycles"};
+  telemetry::CachedHistogram h_subpage_open_cycles_{"window.subpage.open_cycles"};
+  telemetry::CachedHistogram h_latency_dkasan_{"window.detect_latency.dkasan"};
+  telemetry::CachedHistogram h_latency_spade_{"window.detect_latency.spade"};
 
   telemetry::Histogram stale_open_cycles_;
   telemetry::Histogram subpage_open_cycles_;

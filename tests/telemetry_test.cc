@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -430,7 +431,7 @@ TEST(TelemetryIntegrationTest, PoisonedTxStagesAppearInOrderOnTheBus) {
   for (const Event& event : machine.telemetry().ring().Snapshot()) {
     if (event.kind == EventKind::kAttackStage) {
       EXPECT_EQ(event.severity, Severity::kWarn);
-      staged.push_back(event.site);
+      staged.emplace_back(event.site.view());
     }
   }
   ASSERT_EQ(staged.size(), report->steps.size());
@@ -446,6 +447,144 @@ TEST(TelemetryIntegrationTest, PoisonedTxStagesAppearInOrderOnTheBus) {
   // The run necessarily exercised the stale-IOTLB window; Critical events
   // passed the floor too.
   EXPECT_GT(machine.telemetry().counter_value("iommu.stale_iotlb_accesses"), 0u);
+}
+
+// ---- Event site lifetime -------------------------------------------------------
+
+TEST(EventSiteTest, NamesBorrowAndRunTimeTextOwns) {
+  const EventSite literal = "dma_map_single";
+  EXPECT_FALSE(literal.owned());
+  EXPECT_EQ(literal, "dma_map_single");
+  const EventSite interned = Site::Intern(std::string("nic7") + "_rx");
+  EXPECT_FALSE(interned.owned());
+  EXPECT_EQ(interned, "nic7_rx");
+  const EventSite text = EventSite::Own({"poisoned_tx: ", "pfn ", std::to_string(0x1234)});
+  EXPECT_TRUE(text.owned());
+  EXPECT_EQ(text, "poisoned_tx: pfn 4660");
+  const EventSite copy = text;  // copies share the one buffer
+  EXPECT_EQ(copy.view().data(), text.view().data());
+  EXPECT_FALSE(EventSite::Own("").owned());
+}
+
+// Run-time text published from a temporary must outlive the temporary:
+// the ring, the CSV export and the parsed rows all still read it. A dangling
+// view here is a heap-use-after-free under ASan.
+TEST(EventSiteTest, OwnedTextOutlivesItsEmitter) {
+  Hub hub(Hub::Config{.enabled = true, .ring_capacity = 8});
+  for (int i = 0; i < 3; ++i) {
+    std::string narration = "ring_flood: guessed pfn 0x" + std::to_string(1000 + i) +
+                            " from " + std::string(40, 'x');  // past the SSO limit
+    Event event;
+    event.kind = EventKind::kAttackStage;
+    event.severity = Severity::kWarn;
+    event.site = EventSite::Own(narration);
+    hub.Publish(std::move(event));
+    narration.assign(narration.size(), '?');  // scribble, then destroy
+  }
+  Event borrowed;
+  borrowed.kind = EventKind::kDmaMap;
+  borrowed.site = "dma_map_single";
+  hub.Publish(borrowed);
+
+  const std::string tail = " from " + std::string(40, 'x');
+  const std::vector<Event> snapshot = hub.ring().Snapshot();
+  ASSERT_EQ(snapshot.size(), 4u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(snapshot[i].site, "ring_flood: guessed pfn 0x" + std::to_string(1000 + i) + tail);
+  }
+  EXPECT_FALSE(snapshot[3].site.owned());
+
+  std::vector<Event> parsed;
+  {
+    const std::string csv = hub.ExportTraceCsv();
+    EXPECT_NE(csv.find("ring_flood: guessed pfn 0x1002" + tail), std::string::npos);
+    parsed = ParseTraceCsv(csv);
+  }  // the CSV text is gone; the parsed rows own their sites
+  ASSERT_EQ(parsed.size(), 4u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(parsed[i].site, "ring_flood: guessed pfn 0x" + std::to_string(1000 + i) + tail);
+  }
+  EXPECT_EQ(parsed[3].site, "dma_map_single");
+
+  // Overwriting a ring slot releases the text it held, and only that.
+  for (int i = 0; i < 8; ++i) {
+    hub.Publish(borrowed);
+  }
+  EXPECT_EQ(hub.ring().dropped(), 4u);
+  EXPECT_EQ(parsed[0].site, "ring_flood: guessed pfn 0x1000" + tail);
+}
+
+// Every site published from kThreads workers arrives intact through the
+// per-CPU SPSC rings and the drainer: borrowed names as the same view,
+// owned run-time text with its bytes. Runs under TSan in CI.
+TEST(EventSiteThreadsTest, SitesSurviveTheSpscDrain) {
+  constexpr uint32_t kCpus = 4;
+  constexpr int kPerCpu = 500;
+  core::MachineConfig config;
+  config.exec = ExecMode::kThreads;
+  config.telemetry.enabled = true;
+  config.telemetry.ring_capacity = kCpus * kPerCpu * 2;
+  config.iommu.fast_path.num_cpus = kCpus;
+  core::Machine machine{config};
+
+  // Collects every attack-stage site on the drainer thread.
+  class Collector : public EventSink {
+   public:
+    void OnEvent(const Event& event) override {
+      if (event.kind == EventKind::kAttackStage) {
+        sites.emplace_back(event.site.view());
+        owned += event.site.owned() ? 1 : 0;
+      }
+    }
+    std::vector<std::string> sites;
+    size_t owned = 0;
+  } collector;
+  machine.telemetry().AddSink(&collector);
+
+  machine.RunOnCpus(kCpus, [&](CpuId cpu) {
+    for (int i = 0; i < kPerCpu; ++i) {
+      Event event;
+      event.kind = EventKind::kAttackStage;
+      event.severity = Severity::kWarn;
+      if (i % 2 == 0) {
+        // Built on the worker's stack and gone before the drainer runs.
+        const std::string text = "cpu" + std::to_string(cpu.value) + " stage " +
+                                 std::to_string(i) + " " +
+                                 std::string(32, static_cast<char>('a' + cpu.value));
+        event.site = EventSite::Own(text);
+      } else {
+        event.site = "borrowed stage";
+      }
+      machine.telemetry().Publish(std::move(event));
+      // Real emitters on the same rings: slab events carry Site names.
+      Result<Kva> kva = machine.slab().Kmalloc(128, "threads_site_test");
+      if (kva.ok()) {
+        (void)machine.slab().Kfree(*kva);
+      }
+    }
+  });
+  machine.telemetry().RemoveSink(&collector);
+
+  ASSERT_EQ(machine.telemetry().mt_dropped(), 0u);
+  ASSERT_EQ(collector.sites.size(), size_t{kCpus} * kPerCpu);
+  std::vector<std::string> expected;
+  for (uint32_t cpu = 0; cpu < kCpus; ++cpu) {
+    for (int i = 0; i < kPerCpu; ++i) {
+      expected.push_back(i % 2 == 0 ? "cpu" + std::to_string(cpu) + " stage " +
+                                          std::to_string(i) + " " +
+                                          std::string(32, static_cast<char>('a' + cpu))
+                                    : std::string("borrowed stage"));
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(collector.sites.begin(), collector.sites.end());
+  EXPECT_EQ(collector.sites, expected);
+  EXPECT_EQ(collector.owned, size_t{kCpus} * kPerCpu / 2);
+  for (const Event& event : machine.telemetry().ring().Snapshot()) {
+    if (event.kind == EventKind::kSlabAlloc) {
+      EXPECT_EQ(event.site, "threads_site_test");
+    }
+  }
 }
 
 }  // namespace

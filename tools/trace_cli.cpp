@@ -306,7 +306,7 @@ bool MatchesOrigin(const telemetry::Event& event, const std::string& origin) {
     return event.kind == telemetry::EventKind::kFaultInjected ||
            event.kind == telemetry::EventKind::kFaultRecovered ||
            event.kind == telemetry::EventKind::kNicRxError ||
-           event.site.rfind("fault:", 0) == 0;
+           event.site.view().starts_with("fault:");
   }
   return origin == EventOrigin(event);
 }
@@ -361,7 +361,7 @@ int Timeline(const std::vector<telemetry::Event>& events, const Options& opts,
                 std::string(telemetry::EventKindName(event.kind)).c_str(), detail.c_str(),
                 event.site.empty() ? "" : (detail.empty() ? "" : "  "),
                 event.site.empty() ? "" : "[",
-                event.site.empty() ? "" : (event.site + "]").c_str());
+                event.site.empty() ? "" : (std::string(event.site.view()) + "]").c_str());
     ++shown;
   }
   std::printf("\n%zu events shown", shown);
