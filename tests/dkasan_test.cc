@@ -14,6 +14,7 @@
 #include "dkasan/dkasan.h"
 #include "dkasan/workload.h"
 #include "net/nic_driver.h"
+#include "test_digest.h"
 
 namespace spv::dkasan {
 namespace {
@@ -293,13 +294,7 @@ class ReportSink : public telemetry::EventSink {
   uint64_t count = 0;
 };
 
-uint64_t Fnv1a(std::string_view text) {
-  uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : text) {
-    hash = (hash ^ c) * 1099511628211ull;
-  }
-  return hash;
-}
+using spv::testing::Fnv1a;
 
 // `observed` adds what attack_detect runs D-KASAN under: telemetry recording
 // on and every report published on the bus.
