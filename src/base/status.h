@@ -46,6 +46,15 @@ class Status {
 
   std::string ToString() const;
 
+  // Keeps the first error: adopts `other` only while this status is still
+  // OK (absl::Status::Update). Best-effort teardown loops report what went
+  // wrong first and keep going.
+  void Update(const Status& other) {
+    if (ok() && !other.ok()) {
+      *this = other;
+    }
+  }
+
   friend bool operator==(const Status& a, const Status& b) { return a.code_ == b.code_; }
 
  private:

@@ -215,7 +215,6 @@ nvme::NvmeDriver& Machine::AddNvmeDriver(const nvme::NvmeDriver::Config& config)
   slab::PageFragPool& pool = frag_pool(config.cpu);
   nvme_drivers_.push_back(std::make_unique<nvme::NvmeDriver>(
       device, *dma_, *kmem_, *slab_, &pool, clock_, config));
-  nvme_drivers_.back()->set_fault_engine(&fault_);
   nvme_drivers_.back()->set_tracer(tracer_.get());
   const policy::DeviceIdentity identity{config.name, "nvme"};
   recovery_->RegisterDevice(device, nvme_drivers_.back().get(), RecoveryTuneFor(identity));

@@ -49,7 +49,7 @@ class MaliciousNic : public net::NicDeviceModel {
     // Completion is *not* signalled automatically: the attacker decides when
     // (delaying TX completion keeps the malicious buffer alive, §5.4).
   }
-  void OnRxCompleting(uint32_t index) override {
+  void OnRxCompleting(uint32_t /*queue*/, uint32_t index) override {
     if (rx_completing_hook_) {
       rx_completing_hook_(index);
     }

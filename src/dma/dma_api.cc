@@ -152,11 +152,15 @@ ServiceMode DmaApi::service_mode(DeviceId device) const {
              : ServiceMode::kZeroCopy;
 }
 
+bool DmaApi::IsBounced(DeviceId device, Iova iova) const {
+  return bounce_pool_ != nullptr && bounce_pool_->Owns(device, iova);
+}
+
 Status DmaApi::UnmapSingle(DeviceId device, Iova iova, uint64_t len, DmaDirection dir) {
   trace::ScopedSpan span(tracer_, "dma.unmap_single");
   // Pool IOVAs first: the mapping may predate a trust promotion, so the
   // router's *current* verdict must not decide where the unmap goes.
-  if (bounce_pool_ != nullptr && bounce_pool_->Owns(device, iova)) {
+  if (IsBounced(device, iova)) {
     Status status = bounce_pool_->Unmap(device, iova, len, dir);
     if (recorder_ != nullptr && status.ok()) {
       recorder_->RecordUnmap(device, iova, len, static_cast<uint8_t>(dir),
@@ -219,7 +223,7 @@ Result<uint64_t> DmaApi::RevokeDeviceMappings(DeviceId device, Site site) {
 }
 
 Status DmaApi::SyncSingleForCpu(DeviceId device, Iova iova, uint64_t len, DmaDirection dir) {
-  if (bounce_pool_ != nullptr && bounce_pool_->Owns(device, iova)) {
+  if (IsBounced(device, iova)) {
     Status status = bounce_pool_->SyncForCpu(device, iova, len, dir);
     if (recorder_ != nullptr && status.ok()) {
       recorder_->RecordSync(device, iova, len, static_cast<uint8_t>(dir),
@@ -254,7 +258,7 @@ Status DmaApi::SyncSingleForCpu(DeviceId device, Iova iova, uint64_t len, DmaDir
 
 Status DmaApi::SyncSingleForDevice(DeviceId device, Iova iova, uint64_t len,
                                    DmaDirection dir) {
-  if (bounce_pool_ != nullptr && bounce_pool_->Owns(device, iova)) {
+  if (IsBounced(device, iova)) {
     Status status = bounce_pool_->SyncForDevice(device, iova, len, dir);
     if (recorder_ != nullptr && status.ok()) {
       recorder_->RecordSync(device, iova, len, static_cast<uint8_t>(dir),
@@ -343,7 +347,7 @@ std::optional<DmaMapping> DmaApi::FindMapping(DeviceId device, Iova iova) const 
   }
   // Bounced buffers live in the pool, not the tracker; synthesize the
   // mapping so FindMapping-based ring audits keep working.
-  if (bounce_pool_ != nullptr && bounce_pool_->Owns(device, iova)) {
+  if (IsBounced(device, iova)) {
     return bounce_pool_->Lookup(device, iova);
   }
   return std::nullopt;

@@ -123,6 +123,11 @@ class DmaApi {
   // pick their ring protocol and to notice live demotions/promotions.
   ServiceMode service_mode(DeviceId device) const;
 
+  // True when `iova` is one of `device`'s bounce-pool runs rather than a
+  // direct mapping — e.g. a MapPersistent ring that landed in the pool, which
+  // the driver must then drive with explicit syncs.
+  bool IsBounced(DeviceId device, Iova iova) const;
+
   // dma_sync_single_for_cpu / _for_device: ownership handoff without
   // unmapping. Drivers with persistent RX mappings (real i40e page reuse)
   // call these instead of unmap — which means the device NEVER loses access

@@ -42,15 +42,11 @@ class NicDeviceModel {
 
   // Fired inside the driver's RX completion path *after* sk_buff construction
   // but *before* dma_unmap, on drivers with the i40e-like ordering (§5.2.2
-  // path (i)). Models the race the device wins on real hardware.
-  virtual void OnRxCompleting(uint32_t index) { (void)index; }
-
-  // Queue-aware variant the multi-queue driver actually calls; the default
-  // forwards to the legacy single-queue hook so existing device models see
-  // the same callbacks they always did.
+  // path (i)), for slot `index` of RX queue `queue`. Models the race the
+  // device wins on real hardware.
   virtual void OnRxCompleting(uint32_t queue, uint32_t index) {
     (void)queue;
-    OnRxCompleting(index);
+    (void)index;
   }
 };
 

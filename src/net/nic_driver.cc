@@ -2,41 +2,16 @@
 
 #include <algorithm>
 
-#include "dma/bounce_pool.h"
 #include "fault/fault.h"
 
 namespace spv::net {
 
-namespace {
-
-// One helper for every driver emit point: packet milestones share the shape
-// (device + length + site), only kind/severity vary. Sites are the queue's
-// names interned at construction.
-void EmitNicEvent(telemetry::Hub& hub, telemetry::EventKind kind,
-                  telemetry::Severity severity, DeviceId device, uint64_t len,
-                  const void* origin, Site site) {
-  if (!hub.active()) {
-    return;
-  }
-  telemetry::Event event;
-  event.kind = kind;
-  event.severity = severity;
-  event.device = device.value;
-  event.len = len;
-  event.origin = origin;
-  event.site = site;
-  hub.Publish(std::move(event));
-}
-
-}  // namespace
-
 NicDriver::NicDriver(DeviceId device_id, dma::DmaApi& dma, dma::KernelMemory& kmem,
                      SkbAllocator& skb_alloc, SimClock& clock, Config config)
-    : device_id_(device_id),
-      dma_(dma),
+    : SupervisedDriver(device_id, dma, clock, config.poll_deadline_cycles,
+                       {telemetry::EventKind::kNicPollDeadline, "nic.poll_deadline_exceeded"}),
       kmem_(kmem),
       skb_alloc_(skb_alloc),
-      clock_(clock),
       config_(std::move(config)),
       rss_(config_.num_queues == 0 ? 1 : config_.num_queues) {
   queues_.resize(config_.num_queues == 0 ? 1 : config_.num_queues);
@@ -83,21 +58,11 @@ uint32_t NicDriver::rx_buffer_bytes() const {
                                SkbDataAlign(SharedInfoLayout::kSize));
 }
 
-bool NicDriver::PollDeadlineHit(Queue& q, uint64_t start_cycle, std::string_view loop) {
-  if (clock_.now() - start_cycle < EffectivePollDeadline()) {
-    return false;
-  }
-  ++q.poll_deadline_hits;
-  if (dma_.telemetry().active()) {
-    // Rare (a bounded loop gave up), so the name is interned here.
-    EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicPollDeadline,
-                 telemetry::Severity::kWarn, device_id_, clock_.now() - start_cycle,
-                 this, Site::Intern(q.name + "_" + std::string(loop)));
-  }
-  if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nic.poll_deadline_exceeded").Add();
-  }
-  return true;
+dma::DmaDirection NicDriver::RxDir() const {
+  // XDP programs may rewrite and retransmit the buffer, so XDP-enabled
+  // drivers map RX buffers BIDIRECTIONAL — handing the device READ access to
+  // the whole page on top of the usual WRITE (§5.1).
+  return config_.xdp ? dma::DmaDirection::kBidirectional : dma::DmaDirection::kFromDevice;
 }
 
 Status NicDriver::FillRxRing(uint32_t queue) {
@@ -117,16 +82,13 @@ Status NicDriver::FillRxRing(uint32_t queue) {
     if (q.rx_ring[i].posted) {
       continue;
     }
-    if (PollDeadlineHit(q, start, "fill_rx")) {
+    if (PollDeadlineHit(start, q.poll_deadline_hits, q.name, "fill_rx")) {
       // Out of budget: leave the rest for the retry path instead of stalling
       // the caller on a slow map path.
       q.rx_needs_refill = true;
       break;
     }
-    Status status = RefillSlot(q, queue, i);
-    if (first.ok() && !status.ok()) {
-      first = status;
-    }
+    first.Update(RefillSlot(q, queue, i));
   }
   return first;
 }
@@ -134,10 +96,7 @@ Status NicDriver::FillRxRing(uint32_t queue) {
 Status NicDriver::FillAllRxRings() {
   Status first = OkStatus();
   for (uint32_t q = 0; q < queues_.size(); ++q) {
-    Status status = FillRxRing(q);
-    if (first.ok() && !status.ok()) {
-      first = status;
-    }
+    first.Update(FillRxRing(q));
   }
   return first;
 }
@@ -159,15 +118,10 @@ Status NicDriver::RefillSlot(Queue& q, uint32_t queue, uint32_t index) {
   if (!head.ok()) {
     return head.status();
   }
-  // XDP programs may rewrite and retransmit the buffer, so XDP-enabled
-  // drivers map RX buffers BIDIRECTIONAL — handing the device READ access to
-  // the whole page on top of the usual WRITE (§5.1).
-  const dma::DmaDirection rx_dir =
-      config_.xdp ? dma::DmaDirection::kBidirectional : dma::DmaDirection::kFromDevice;
   const bool want_sync =
       dma_.service_mode(device_id_) == dma::ServiceMode::kBounceSync;
   if (want_sync && config_.sync_ring_limit != 0 &&
-      index >= std::min(config_.sync_ring_limit, EffectiveRxRingLimit())) {
+      index >= std::min(config_.sync_ring_limit, ClampRingLimit(config_.rx_ring_size))) {
     // Live demotion shrank the ring: slots past the sync clamp retire as
     // their completions land instead of being re-armed. Not an error — the
     // slot simply stays empty until a promotion grows the ring back.
@@ -177,34 +131,32 @@ Status NicDriver::RefillSlot(Queue& q, uint32_t queue, uint32_t index) {
   // Sync mode pins the buffer to one bounce slot for the ring's life;
   // trusted devices get the byte-identical MapSingle path.
   Result<Iova> iova =
-      want_sync ? dma_.MapPersistent(device_id_, *head, rx_buffer_bytes(),
-                                     rx_dir, q.site_map_rx)
-                : dma_.MapSingle(device_id_, *head, rx_buffer_bytes(), rx_dir,
+      want_sync ? dma_.MapPersistent(device_id_, *head, rx_buffer_bytes(), RxDir(),
+                                     q.site_map_rx)
+                : dma_.MapSingle(device_id_, *head, rx_buffer_bytes(), RxDir(),
                                  q.site_map_rx);
   if (!iova.ok()) {
     (void)pool->Free(*head);
     return iova.status();
   }
-  dma::BouncePool* bounce = dma_.bounce_pool();
-  const bool sync_slot =
-      want_sync && bounce != nullptr && bounce->Owns(device_id_, *iova);
-  q.rx_ring[index] = RxSlot{true, *head, *iova, sync_slot};
+  PostRxSlot(queue, index,
+             RxSlot{true, *head, *iova, want_sync && dma_.IsBounced(device_id_, *iova)});
+  return OkStatus();
+}
+
+void NicDriver::PostRxSlot(uint32_t queue, uint32_t index, const RxSlot& slot) {
+  queues_[queue].rx_ring[index] = slot;
   if (device_ != nullptr) {
     RxPostedDescriptor descriptor;
     descriptor.queue = queue;
     descriptor.index = index;
-    descriptor.iova = *iova;
+    descriptor.iova = slot.iova;
     descriptor.buf_len = rx_buffer_bytes();
     device_->OnRxPosted(descriptor);
   }
-  return OkStatus();
 }
 
-void NicDriver::RefillSlotTolerant(Queue& q, uint32_t queue, uint32_t index) {
-  Status status = RefillSlot(q, queue, index);
-  if (status.ok()) {
-    return;
-  }
+void NicDriver::NoteRefillFailure(Queue& q) {
   // The ring runs one slot short; RetryRefills() will try again after the
   // backoff window instead of failing the completion that noticed it.
   ++q.rx_refill_failures;
@@ -212,6 +164,12 @@ void NicDriver::RefillSlotTolerant(Queue& q, uint32_t queue, uint32_t index) {
   q.refill_backoff_until = clock_.now() + config_.refill_retry_backoff_cycles;
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nic.rx_refill_failures").Add();
+  }
+}
+
+void NicDriver::RefillSlotTolerant(Queue& q, uint32_t queue, uint32_t index) {
+  if (!RefillSlot(q, queue, index).ok()) {
+    NoteRefillFailure(q);
   }
 }
 
@@ -227,17 +185,12 @@ uint32_t NicDriver::RetryRefills(uint32_t queue) {
     if (q.rx_ring[i].posted) {
       continue;
     }
-    if (PollDeadlineHit(q, start, "retry_refills")) {
+    if (PollDeadlineHit(start, q.poll_deadline_hits, q.name, "retry_refills")) {
       failed = true;  // budget spent: keep rx_needs_refill armed for later
       break;
     }
-    Status status = RefillSlot(q, queue, i);
-    if (!status.ok()) {
-      ++q.rx_refill_failures;
-      q.refill_backoff_until = clock_.now() + config_.refill_retry_backoff_cycles;
-      if (dma_.telemetry().enabled()) {
-        dma_.telemetry().counter("nic.rx_refill_failures").Add();
-      }
+    if (!RefillSlot(q, queue, i).ok()) {
+      NoteRefillFailure(q);
       failed = true;
       break;
     }
@@ -247,9 +200,8 @@ uint32_t NicDriver::RetryRefills(uint32_t queue) {
     q.rx_needs_refill = false;
   }
   if (refilled > 0) {
-    EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kFaultRecovered,
-                 telemetry::Severity::kInfo, device_id_, refilled, this,
-                 q.site_rx_refill_retry);
+    Emit(telemetry::EventKind::kFaultRecovered, telemetry::Severity::kInfo, refilled, 0,
+         q.site_rx_refill_retry);
     if (dma_.telemetry().enabled()) {
       dma_.telemetry().counter("fault.recovered.rx_refill_retry").Add();
     }
@@ -270,46 +222,26 @@ Result<SkBuffPtr> NicDriver::DropRxFrame(uint32_t queue, uint32_t index, uint32_
   Queue& q = queues_[queue];
   RxSlot slot = q.rx_ring[index];
   q.rx_ring[index].posted = false;
-  EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRxError,
-               telemetry::Severity::kWarn, device_id_, pkt_len, this,
-               q.site_rx_error);
+  Emit(telemetry::EventKind::kNicRxError, telemetry::Severity::kWarn, pkt_len, 0,
+       q.site_rx_error);
   if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter(std::string(counter)).Add();
+    dma_.telemetry().counter(counter).Add();
   }
-  const dma::DmaDirection rx_dir =
-      config_.xdp ? dma::DmaDirection::kBidirectional : dma::DmaDirection::kFromDevice;
   if (slot.sync_mode &&
       dma_.service_mode(device_id_) == dma::ServiceMode::kBounceSync) {
     // Degraded ring: scrub the bounce slot (so the dropped frame's bytes
     // cannot be replayed into the next completion) and re-arm it in place.
-    (void)dma_.SyncSingleForDevice(device_id_, slot.iova, rx_buffer_bytes(),
-                                   rx_dir);
-    q.rx_ring[index] = slot;
-    if (device_ != nullptr) {
-      RxPostedDescriptor descriptor;
-      descriptor.queue = queue;
-      descriptor.index = index;
-      descriptor.iova = slot.iova;
-      descriptor.buf_len = rx_buffer_bytes();
-      device_->OnRxPosted(descriptor);
-    }
+    (void)dma_.SyncSingleForDevice(device_id_, slot.iova, rx_buffer_bytes(), RxDir());
+    PostRxSlot(queue, index, slot);
     return SkBuffPtr{};
   }
   if (config_.sync_only_rx && !slot.sync_mode) {
     // Page-reuse drivers keep the buffer and its (permanent) mapping: the
     // same slot is simply reposted.
-    q.rx_ring[index] = slot;
-    if (device_ != nullptr) {
-      RxPostedDescriptor descriptor;
-      descriptor.queue = queue;
-      descriptor.index = index;
-      descriptor.iova = slot.iova;
-      descriptor.buf_len = rx_buffer_bytes();
-      device_->OnRxPosted(descriptor);
-    }
+    PostRxSlot(queue, index, slot);
     return SkBuffPtr{};
   }
-  SPV_RETURN_IF_ERROR(dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), rx_dir));
+  SPV_RETURN_IF_ERROR(dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), RxDir()));
   slab::PageFragPool* pool = skb_alloc_.frag_pool(q.cpu);
   if (pool != nullptr) {
     SPV_RETURN_IF_ERROR(pool->Free(slot.head));
@@ -320,13 +252,11 @@ Result<SkBuffPtr> NicDriver::DropRxFrame(uint32_t queue, uint32_t index, uint32_
 
 Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t pkt_len) {
   trace::ScopedSpan span(tracer_, "nic.complete_rx");
-  if (queue >= queues_.size()) {
-    return FailedPrecondition("RX completion on unknown queue");
+  if (PostedRxSlot(queue, index) == nullptr) {
+    return FailedPrecondition(queue >= queues_.size() ? "RX completion on unknown queue"
+                                                      : "RX completion on empty slot");
   }
   Queue& q = queues_[queue];
-  if (index >= q.rx_ring.size() || !q.rx_ring[index].posted) {
-    return FailedPrecondition("RX completion on empty slot");
-  }
   dma_.set_current_cpu(q.cpu);
   RetryRefills(queue);
   const bool faulting = fault_ != nullptr && fault_->armed();
@@ -369,11 +299,7 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
     // The device's bytes live in the bounce slot: pull the frame across the
     // sync boundary before anything (XDP, header parse) reads the kernel
     // buffer. Only pkt_len bytes cross — the measured cost of distrust.
-    const dma::DmaDirection sync_dir = config_.xdp
-                                           ? dma::DmaDirection::kBidirectional
-                                           : dma::DmaDirection::kFromDevice;
-    Status synced =
-        dma_.SyncSingleForCpu(device_id_, slot.iova, pkt_len, sync_dir);
+    Status synced = dma_.SyncSingleForCpu(device_id_, slot.iova, pkt_len, RxDir());
     if (!synced.ok()) {
       q.rx_ring[index] = slot;  // restore: DropRxFrame re-arms from the ring
       ++q.rx_device_drops;
@@ -386,67 +312,45 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
     (void)kmem_.Fill(slot.head, PacketHeader::kSize, 0xFF);
   }
 
-  auto build = [&]() -> Result<SkBuffPtr> {
-    Result<SkBuffPtr> skb = skb_alloc_.BuildSkb(
-        slot.head, rx_buffer_bytes(),
-        OwnedBuffer{slot.head, BufSource::kPageFrag, q.cpu});
-    if (!skb.ok()) {
-      return skb.status();
-    }
-    (*skb)->len = pkt_len;
-    Result<PacketHeader> header = ReadPacketHeader(kmem_, (*skb)->data);
-    if (header.ok()) {
-      (*skb)->header = *header;
-      (*skb)->header_parsed = true;
-    }
-    return skb;
-  };
-
-  const dma::DmaDirection rx_dir =
-      config_.xdp ? dma::DmaDirection::kBidirectional : dma::DmaDirection::kFromDevice;
-
   // XDP runs on the raw buffer while it is still mapped BIDIRECTIONAL — the
   // program may rewrite the packet in place (§5.1's zero-copy case).
   if (config_.xdp && xdp_program_ != nullptr) {
     const XdpVerdict verdict = xdp_program_->Run(kmem_, slot.head, pkt_len);
     if (verdict != XdpVerdict::kPass) {
-      SPV_RETURN_IF_ERROR(
-          dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), rx_dir));
-      if (verdict == XdpVerdict::kDrop) {
-        ++q.xdp_drops;
-        EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kXdpDrop,
-                     telemetry::Severity::kInfo, device_id_, pkt_len, this,
-                     q.site_xdp_drop);
-        if (dma_.telemetry().enabled()) {
-          dma_.telemetry().counter("nic.xdp_drops").Add();
+      SPV_RETURN_IF_ERROR(dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), RxDir()));
+      bool sent = false;
+      if (verdict == XdpVerdict::kTx) {
+        // XDP_TX: bounce the (possibly rewritten) packet straight back out. A
+        // full TX ring turns it into a drop; PostTx frees the skb and buffer.
+        Result<SkBuffPtr> bounce = skb_alloc_.BuildSkb(
+            slot.head, rx_buffer_bytes(), OwnedBuffer{slot.head, BufSource::kPageFrag, q.cpu});
+        if (!bounce.ok()) {
+          return bounce.status();
         }
+        (*bounce)->len = pkt_len;
+        sent = PostTx(queue, std::move(*bounce)).ok();
+      }
+      if (sent) {
+        ++q.xdp_tx;
+        Emit(telemetry::EventKind::kXdpTx, telemetry::Severity::kInfo, pkt_len, 0,
+             q.site_xdp_tx);
+      } else {
+        ++q.xdp_drops;
+        Emit(telemetry::EventKind::kXdpDrop, telemetry::Severity::kInfo, pkt_len, 0,
+             q.site_xdp_drop);
+      }
+      if (dma_.telemetry().enabled()) {
+        dma_.telemetry().counter(sent ? "nic.xdp_tx" : "nic.xdp_drops").Add();
+      }
+      if (verdict == XdpVerdict::kDrop) {
         slab::PageFragPool* pool = skb_alloc_.frag_pool(q.cpu);
         if (pool != nullptr) {
           SPV_RETURN_IF_ERROR(pool->Free(slot.head));
         }
-        SPV_RETURN_IF_ERROR(RefillSlot(q, queue, index));
-        return SkBuffPtr{};
       }
-      // XDP_TX: bounce the (possibly rewritten) packet straight back out.
-      Result<SkBuffPtr> bounce = skb_alloc_.BuildSkb(
-          slot.head, rx_buffer_bytes(),
-          OwnedBuffer{slot.head, BufSource::kPageFrag, q.cpu});
-      if (!bounce.ok()) {
-        return bounce.status();
-      }
-      (*bounce)->len = pkt_len;
-      Result<uint32_t> tx = PostTx(queue, std::move(*bounce));
-      if (!tx.ok()) {
-        return tx.status();
-      }
-      ++q.xdp_tx;
-      EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kXdpTx,
-                   telemetry::Severity::kInfo, device_id_, pkt_len, this,
-                   q.site_xdp_tx);
-      if (dma_.telemetry().enabled()) {
-        dma_.telemetry().counter("nic.xdp_tx").Add();
-      }
-      SPV_RETURN_IF_ERROR(RefillSlot(q, queue, index));
+      // Like every other consumed frame: a failed refill arms the retry
+      // backoff instead of failing the completion.
+      RefillSlotTolerant(q, queue, index);
       return SkBuffPtr{};
     }
   }
@@ -464,17 +368,8 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
       return FailedPrecondition("no page_frag pool for driver cpu");
     }
     auto rearm = [&]() {
-      (void)dma_.SyncSingleForDevice(device_id_, slot.iova, rx_buffer_bytes(),
-                                     rx_dir);
-      q.rx_ring[index] = slot;
-      if (device_ != nullptr) {
-        RxPostedDescriptor descriptor;
-        descriptor.queue = queue;
-        descriptor.index = index;
-        descriptor.iova = slot.iova;
-        descriptor.buf_len = rx_buffer_bytes();
-        device_->OnRxPosted(descriptor);
-      }
+      (void)dma_.SyncSingleForDevice(device_id_, slot.iova, rx_buffer_bytes(), RxDir());
+      PostRxSlot(queue, index, slot);
     };
     Result<Kva> copy = pool->Alloc(rx_buffer_bytes(), kSmpCacheBytes,
                                    q.site_sync_copybreak);
@@ -492,69 +387,50 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
       (void)pool->Free(*copy);
       return copied;
     }
-    Result<SkBuffPtr> built = skb_alloc_.BuildSkb(
-        *copy, rx_buffer_bytes(), OwnedBuffer{*copy, BufSource::kPageFrag, q.cpu});
+    Result<SkBuffPtr> built = BuildRxSkb(*copy, pkt_len, q.cpu);
     if (!built.ok()) {
       (void)pool->Free(*copy);
       return built.status();
     }
-    (*built)->len = pkt_len;
-    Result<PacketHeader> header = ReadPacketHeader(kmem_, (*built)->data);
-    if (header.ok()) {
-      (*built)->header = *header;
-      (*built)->header_parsed = true;
-    }
     rearm();
     ++q.rx_packets;
     ++q.rx_sync_frames;
-    EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRx,
-                 telemetry::Severity::kInfo, device_id_, pkt_len, this,
-                 q.site_rx_sync);
+    Emit(telemetry::EventKind::kNicRx, telemetry::Severity::kInfo, pkt_len, 0, q.site_rx_sync);
     if (dma_.telemetry().enabled()) {
       c_rx_packets_.Get(dma_.telemetry()).Add();
       dma_.telemetry().counter("nic.rx_sync_frames").Add();
     }
     return built;
   }
-  if (slot.sync_mode) {
-    // Promoted mid-flight: retire the persistent bounce slot through the
-    // normal unmap path (the pool routes it) and let the refill below remap
-    // the slot direct under the new trust state.
-    SPV_RETURN_IF_ERROR(
-        dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), rx_dir));
-    skb = build();
-  } else if (config_.sync_only_rx) {
+  if (config_.sync_only_rx && !slot.sync_mode) {
     // Page-reuse drivers never unmap: ownership comes back via dma_sync, the
     // translation stays installed, and the device keeps WRITE access to the
     // skb's page forever (§9: "the whole page is accessible").
-    SPV_RETURN_IF_ERROR(
-        dma_.SyncSingleForCpu(device_id_, slot.iova, rx_buffer_bytes(), rx_dir));
-    skb = build();
-  } else if (config_.unmap_before_build) {
+    SPV_RETURN_IF_ERROR(dma_.SyncSingleForCpu(device_id_, slot.iova, rx_buffer_bytes(), RxDir()));
+    skb = BuildRxSkb(slot.head, pkt_len, q.cpu);
+  } else if (slot.sync_mode || config_.unmap_before_build) {
     // Correct DMA API usage: revoke first, then let the CPU initialize
     // skb_shared_info (Fig 7 path (ii)/(iii) — still attackable, but not via
-    // a live mapping of this buffer).
-    SPV_RETURN_IF_ERROR(
-        dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), rx_dir));
-    skb = build();
+    // a live mapping of this buffer). A sync slot promoted mid-flight retires
+    // the same way (the pool routes the unmap) and the refill below remaps it
+    // direct under the new trust state.
+    SPV_RETURN_IF_ERROR(dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), RxDir()));
+    skb = BuildRxSkb(slot.head, pkt_len, q.cpu);
   } else {
     // i40e-like ordering (Fig 7 path (i)): sk_buff is built — including the
     // CPU's "legitimate" shared_info initialization — while the device still
     // has WRITE access. The device gets its race window, then we unmap.
-    skb = build();
+    skb = BuildRxSkb(slot.head, pkt_len, q.cpu);
     if (device_ != nullptr) {
       device_->OnRxCompleting(queue, index);
     }
-    SPV_RETURN_IF_ERROR(
-        dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), rx_dir));
+    SPV_RETURN_IF_ERROR(dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), RxDir()));
   }
   if (!skb.ok()) {
     return skb.status();
   }
   ++q.rx_packets;
-  EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicRx,
-               telemetry::Severity::kInfo, device_id_, pkt_len, this,
-               q.site_rx);
+  Emit(telemetry::EventKind::kNicRx, telemetry::Severity::kInfo, pkt_len, 0, q.site_rx);
   if (dma_.telemetry().enabled()) {
     c_rx_packets_.Get(dma_.telemetry()).Add();
   }
@@ -563,6 +439,21 @@ Result<SkBuffPtr> NicDriver::CompleteRx(uint32_t queue, uint32_t index, uint32_t
   // failed refill must not lose the packet we already built — it arms the
   // retry backoff instead.
   RefillSlotTolerant(q, queue, index);
+  return skb;
+}
+
+Result<SkBuffPtr> NicDriver::BuildRxSkb(Kva buf, uint32_t pkt_len, CpuId cpu) {
+  Result<SkBuffPtr> skb =
+      skb_alloc_.BuildSkb(buf, rx_buffer_bytes(), OwnedBuffer{buf, BufSource::kPageFrag, cpu});
+  if (!skb.ok()) {
+    return skb.status();
+  }
+  (*skb)->len = pkt_len;
+  Result<PacketHeader> header = ReadPacketHeader(kmem_, (*skb)->data);
+  if (header.ok()) {
+    (*skb)->header = *header;
+    (*skb)->header_parsed = true;
+  }
   return skb;
 }
 
@@ -652,9 +543,8 @@ Result<uint32_t> NicDriver::TryPostTx(uint32_t queue, SkBuffPtr& skb) {
   }
   slot.skb = std::move(skb);
   ++q.tx_packets;
-  EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicTx,
-               telemetry::Severity::kInfo, device_id_, slot.linear_len, this,
-               q.site_tx);
+  Emit(telemetry::EventKind::kNicTx, telemetry::Severity::kInfo, slot.linear_len, 0,
+       q.site_tx);
   if (dma_.telemetry().enabled()) {
     c_tx_packets_.Get(dma_.telemetry()).Add();
   }
@@ -671,11 +561,8 @@ Status NicDriver::UnmapTxSlot(Queue& q, TxSlot& slot) {
   Status first = dma_.UnmapSingle(device_id_, slot.linear_iova, slot.linear_len,
                                   dma::DmaDirection::kToDevice);
   for (const TxFragMapping& frag : slot.frags) {
-    Status status =
-        dma_.UnmapSingle(device_id_, frag.iova, frag.len, dma::DmaDirection::kToDevice);
-    if (first.ok() && !status.ok()) {
-      first = status;
-    }
+    first.Update(
+        dma_.UnmapSingle(device_id_, frag.iova, frag.len, dma::DmaDirection::kToDevice));
   }
   return first;
 }
@@ -731,9 +618,8 @@ uint32_t NicDriver::CheckTxTimeout(uint32_t queue) {
       slot = TxSlot{};
     }
     ++q.tx_resets;
-    EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kNicTxReset,
-                 telemetry::Severity::kWarn, device_id_, timed_out, this,
-                 q.site_tx_timeout_reset);
+    Emit(telemetry::EventKind::kNicTxReset, telemetry::Severity::kWarn, timed_out, 0,
+         q.site_tx_timeout_reset);
     if (dma_.telemetry().enabled()) {
       dma_.telemetry().counter("nic.tx_resets").Add();
       dma_.telemetry().counter("nic.ring_reset").Add();
@@ -755,7 +641,7 @@ uint32_t NicDriver::RequeueTimedOut(uint32_t queue) {
   const uint64_t start = clock_.now();
   uint32_t reposted = 0;
   while (!q.tx_requeue.empty()) {
-    if (PollDeadlineHit(q, start, "requeue_timed_out")) {
+    if (PollDeadlineHit(start, q.poll_deadline_hits, q.name, "requeue_timed_out")) {
       break;  // remaining skbs stay parked for the next poll
     }
     PendingTx pending = std::move(q.tx_requeue.front());
@@ -763,9 +649,8 @@ uint32_t NicDriver::RequeueTimedOut(uint32_t queue) {
     Result<uint32_t> index = TryPostTx(queue, pending.skb);
     if (index.ok()) {
       ++reposted;
-      EmitNicEvent(dma_.telemetry(), telemetry::EventKind::kFaultRecovered,
-                   telemetry::Severity::kInfo, device_id_, *index, this,
-                   q.site_tx_requeue);
+      Emit(telemetry::EventKind::kFaultRecovered, telemetry::Severity::kInfo, *index, 0,
+           q.site_tx_requeue);
       if (dma_.telemetry().enabled()) {
         dma_.telemetry().counter("fault.recovered.tx_requeue").Add();
       }
@@ -798,13 +683,6 @@ uint32_t NicDriver::RequeueTimedOut() {
 Status NicDriver::Shutdown() {
   trace::ScopedSpan span(tracer_, "nic.shutdown");
   Status first = OkStatus();
-  auto note = [&first](const Status& status) {
-    if (first.ok() && !status.ok()) {
-      first = status;
-    }
-  };
-  const dma::DmaDirection rx_dir =
-      config_.xdp ? dma::DmaDirection::kBidirectional : dma::DmaDirection::kFromDevice;
   for (Queue& q : queues_) {
     dma_.set_current_cpu(q.cpu);
     slab::PageFragPool* pool = skb_alloc_.frag_pool(q.cpu);
@@ -812,9 +690,9 @@ Status NicDriver::Shutdown() {
       if (!slot.posted) {
         continue;
       }
-      note(dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), rx_dir));
+      first.Update(dma_.UnmapSingle(device_id_, slot.iova, rx_buffer_bytes(), RxDir()));
       if (pool != nullptr) {
-        note(pool->Free(slot.head));
+        first.Update(pool->Free(slot.head));
       }
       slot = RxSlot{};
     }
@@ -822,12 +700,12 @@ Status NicDriver::Shutdown() {
       if (!slot.busy) {
         continue;
       }
-      note(UnmapTxSlot(q, slot));
-      note(skb_alloc_.FreeSkb(std::move(slot.skb), nullptr));
+      first.Update(UnmapTxSlot(q, slot));
+      first.Update(skb_alloc_.FreeSkb(std::move(slot.skb), nullptr));
       slot = TxSlot{};
     }
     while (!q.tx_requeue.empty()) {
-      note(skb_alloc_.FreeSkb(std::move(q.tx_requeue.front().skb), nullptr));
+      first.Update(skb_alloc_.FreeSkb(std::move(q.tx_requeue.front().skb), nullptr));
       q.tx_requeue.pop_front();
     }
     q.rx_needs_refill = false;
@@ -835,26 +713,22 @@ Status NicDriver::Shutdown() {
   return first;
 }
 
-std::optional<Kva> NicDriver::RxSlotKva(uint32_t queue, uint32_t index) const {
+const NicDriver::RxSlot* NicDriver::PostedRxSlot(uint32_t queue, uint32_t index) const {
   if (queue >= queues_.size()) {
-    return std::nullopt;
+    return nullptr;
   }
-  const Queue& q = queues_[queue];
-  if (index >= q.rx_ring.size() || !q.rx_ring[index].posted) {
-    return std::nullopt;
-  }
-  return q.rx_ring[index].head;
+  const std::vector<RxSlot>& ring = queues_[queue].rx_ring;
+  return index < ring.size() && ring[index].posted ? &ring[index] : nullptr;
+}
+
+std::optional<Kva> NicDriver::RxSlotKva(uint32_t queue, uint32_t index) const {
+  const RxSlot* slot = PostedRxSlot(queue, index);
+  return slot != nullptr ? std::optional<Kva>(slot->head) : std::nullopt;
 }
 
 std::optional<Iova> NicDriver::RxSlotIova(uint32_t queue, uint32_t index) const {
-  if (queue >= queues_.size()) {
-    return std::nullopt;
-  }
-  const Queue& q = queues_[queue];
-  if (index >= q.rx_ring.size() || !q.rx_ring[index].posted) {
-    return std::nullopt;
-  }
-  return q.rx_ring[index].iova;
+  const RxSlot* slot = PostedRxSlot(queue, index);
+  return slot != nullptr ? std::optional<Iova>(slot->iova) : std::nullopt;
 }
 
 uint32_t NicDriver::pending_tx() const {

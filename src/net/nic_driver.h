@@ -13,11 +13,19 @@
 //
 // Multi-queue: the driver owns config.num_queues independent queue pairs,
 // each pinned to one sim CPU (like a real RSS NIC's per-CPU MSI-X vectors).
-// Every ring operation takes a queue index; the historical single-queue API
-// is preserved as a byte-identical delegation to queue 0. The device decides
-// which RX queue a flow lands on through the Toeplitz RSS hash (net/rss.h) —
-// and therefore which CPU's IOVA magazines, flush-queue shard and page_frag
-// pool the buffer travels through.
+// Every ring operation takes a queue index; the single-queue overloads
+// delegate to queue 0. The device decides which RX queue a flow lands on
+// through the Toeplitz RSS hash (net/rss.h) — and therefore which CPU's IOVA
+// magazines, flush-queue shard and page_frag pool the buffer travels through.
+//
+// Driver core: the device id, DMA API, clock, trust-policy clamps, the poll
+// deadline check and the event emit live in recovery::SupervisedDriver,
+// shared with the NVMe driver. What stays here is the NIC's own protocol: a
+// ring of independent RX slots, each posted to the device through
+// PostRxSlot. Under a live demotion to kBounceSync the ring shrinks in place
+// — slots past the sync clamp retire as their completions land, the rest
+// re-arm on persistent bounce slots with copybreak RX — and a promotion
+// lets the fill grow it back, so the NIC never tears its rings down.
 
 #ifndef SPV_NET_NIC_DRIVER_H_
 #define SPV_NET_NIC_DRIVER_H_
@@ -109,16 +117,10 @@ class NicDriver : public recovery::SupervisedDriver {
   NicDriver(DeviceId device_id, dma::DmaApi& dma, dma::KernelMemory& kmem,
             SkbAllocator& skb_alloc, SimClock& clock, Config config);
 
-  NicDriver(const NicDriver&) = delete;
-  NicDriver& operator=(const NicDriver&) = delete;
-
   void AttachDevice(NicDeviceModel* device) { device_ = device; }
 
   // Optional fault hook (the kNic* sites): nullptr detaches.
   void set_fault_engine(fault::FaultEngine* engine) { fault_ = engine; }
-
-  // Optional causal span tracer (RX/TX path spans): nullptr detaches.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
   // Attaches an XDP program; only meaningful with config.xdp = true (the
   // driver maps RX buffers BIDIRECTIONAL for in-place rewrites).
@@ -193,20 +195,13 @@ class NicDriver : public recovery::SupervisedDriver {
   // teardown).
   Status Shutdown() override;
 
-  // SupervisedDriver re-attach hook: bring every RX ring back up.
+  // SupervisedDriver re-attach hook: bring every RX ring back up. (The
+  // trust-probation hook, ApplyDmaPolicy, clamps the per-queue NAPI budget
+  // and the RX descriptors posted per queue.)
   Status Resume() override { return FillAllRxRings(); }
-
-  // Trust-probation hook (spv::policy): clamps the per-queue NAPI budget and
-  // the number of RX descriptors posted per queue. A zeroed struct restores
-  // the config defaults; limits only ever tighten, never exceed them.
-  void ApplyDmaPolicy(const recovery::DmaPolicyLimits& limits) override {
-    policy_limits_ = limits;
-  }
-  const recovery::DmaPolicyLimits& policy_limits() const { return policy_limits_; }
 
   // ---- Introspection -----------------------------------------------------------
 
-  DeviceId device_id() const { return device_id_; }
   const Config& config() const { return config_; }
   uint32_t num_queues() const { return static_cast<uint32_t>(queues_.size()); }
   CpuId queue_cpu(uint32_t queue) const { return queues_[queue].cpu; }
@@ -329,24 +324,11 @@ class NicDriver : public recovery::SupervisedDriver {
     return total;
   }
 
-  // Config values after the trust-policy clamp (identity when no limits are
-  // in force).
-  uint64_t EffectivePollDeadline() const {
-    return policy_limits_.poll_deadline_cycles != 0 &&
-                   policy_limits_.poll_deadline_cycles < config_.poll_deadline_cycles
-               ? policy_limits_.poll_deadline_cycles
-               : config_.poll_deadline_cycles;
-  }
-  uint32_t EffectiveRxRingLimit() const {
-    return policy_limits_.ring_limit != 0 && policy_limits_.ring_limit < config_.rx_ring_size
-               ? policy_limits_.ring_limit
-               : config_.rx_ring_size;
-  }
-  // EffectiveRxRingLimit plus the sync-mode clamp: consulted per fill/refill
-  // so a live demotion shrinks the ring as completed slots retire and a
-  // promotion lets FillRxRing grow it back.
+  // The trust-policy ring clamp plus the sync-mode clamp: consulted per
+  // fill/refill so a live demotion shrinks the ring in place as completed
+  // slots retire and a promotion lets FillRxRing grow it back.
   uint32_t EffectiveRxRingLimitNow() const {
-    uint32_t limit = EffectiveRxRingLimit();
+    uint32_t limit = ClampRingLimit(config_.rx_ring_size);
     if (config_.sync_ring_limit != 0 && config_.sync_ring_limit < limit &&
         dma_.service_mode(device_id_) == dma::ServiceMode::kBounceSync) {
       limit = config_.sync_ring_limit;
@@ -354,14 +336,22 @@ class NicDriver : public recovery::SupervisedDriver {
     return limit;
   }
 
-  // True once the polling loop that started at `start_cycle` has exhausted
-  // this queue's budget; emits kNicPollDeadline (tagged `loop`) on the
-  // transition and charges the hit to the queue, not the device.
-  bool PollDeadlineHit(Queue& q, uint64_t start_cycle, std::string_view loop);
+  // The posted RX slot at (queue, index), or null (unknown queue, index out
+  // of range or slot empty).
+  const RxSlot* PostedRxSlot(uint32_t queue, uint32_t index) const;
+  // DMA direction of every RX buffer mapping: BIDIRECTIONAL under XDP.
+  dma::DmaDirection RxDir() const;
   Status RefillSlot(Queue& q, uint32_t queue, uint32_t index);
+  // Arms `slot` in the ring and hands its descriptor to the device.
+  void PostRxSlot(uint32_t queue, uint32_t index, const RxSlot& slot);
   // RefillSlot, but a failure arms the retry backoff instead of propagating:
   // the ring runs one slot short until RetryRefills() succeeds.
   void RefillSlotTolerant(Queue& q, uint32_t queue, uint32_t index);
+  // Accounts one failed refill and arms the retry backoff.
+  void NoteRefillFailure(Queue& q);
+  // Builds the sk_buff over RX buffer `buf` (owned by `cpu`'s page_frag
+  // pool) and parses its on-wire header.
+  Result<SkBuffPtr> BuildRxSkb(Kva buf, uint32_t pkt_len, CpuId cpu);
   Status UnmapTxSlot(Queue& q, TxSlot& slot);
   // PostTx body that leaves `skb` with the caller on failure (requeue path).
   Result<uint32_t> TryPostTx(uint32_t queue, SkBuffPtr& skb);
@@ -370,20 +360,15 @@ class NicDriver : public recovery::SupervisedDriver {
   Result<SkBuffPtr> DropRxFrame(uint32_t queue, uint32_t index, uint32_t pkt_len,
                                 std::string_view counter);
 
-  DeviceId device_id_;
-  dma::DmaApi& dma_;
   dma::KernelMemory& kmem_;
   SkbAllocator& skb_alloc_;
-  SimClock& clock_;
   Config config_;
   Rss rss_;
   NicDeviceModel* device_ = nullptr;
 
   std::vector<Queue> queues_;
-  recovery::DmaPolicyLimits policy_limits_;  // zeroed = full service
   XdpProgram* xdp_program_ = nullptr;
   fault::FaultEngine* fault_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
   telemetry::CachedCounter c_rx_packets_{"nic.rx_packets"};
   telemetry::CachedCounter c_tx_packets_{"nic.tx_packets"};
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "dma/bounce_pool.h"
-#include "fault/fault.h"
 #include "trace/tracer.h"
 
 namespace spv::nvme {
@@ -15,37 +13,17 @@ namespace {
 // deadline reachable on a silent device.
 constexpr uint64_t kPollSpinCycles = 100;
 
-// One helper for every driver emit point, same shape as the NIC's: sites
-// are the driver's names interned at construction.
-void EmitNvmeEvent(telemetry::Hub& hub, telemetry::EventKind kind,
-                   telemetry::Severity severity, DeviceId device, uint64_t len,
-                   uint64_t addr, const void* origin, Site site) {
-  if (!hub.active()) {
-    return;
-  }
-  telemetry::Event event;
-  event.kind = kind;
-  event.severity = severity;
-  event.device = device.value;
-  event.len = len;
-  event.addr = addr;
-  event.origin = origin;
-  event.site = site;
-  hub.Publish(std::move(event));
-}
-
 }  // namespace
 
 NvmeDriver::NvmeDriver(DeviceId device_id, dma::DmaApi& dma,
                        dma::KernelMemory& kmem, slab::SlabAllocator& slab,
                        slab::PageFragPool* frag_pool, SimClock& clock,
                        Config config)
-    : device_id_(device_id),
-      dma_(dma),
+    : SupervisedDriver(device_id, dma, clock, config.poll_deadline_cycles,
+                       {telemetry::EventKind::kNvmePollDeadline, "nvme.poll_deadline_exceeded"}),
       kmem_(kmem),
       slab_(slab),
       frag_pool_(frag_pool),
-      clock_(clock),
       config_(std::move(config)),
       sites_(config_.name) {}
 
@@ -76,24 +54,6 @@ NvmeDriver::Sites::Sites(std::string_view name) {
   mode_switch = intern("_mode_switch");
 }
 
-bool NvmeDriver::PollDeadlineHit(uint64_t start_cycle, std::string_view loop) {
-  if (clock_.now() - start_cycle < EffectivePollDeadline()) {
-    return false;
-  }
-  ++poll_deadline_hits_;
-  if (dma_.telemetry().active()) {
-    // Rare (a bounded loop gave up), so the name is interned here.
-    EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmePollDeadline,
-                  telemetry::Severity::kWarn, device_id_,
-                  clock_.now() - start_cycle, 0, this,
-                  Site::Intern(config_.name + "_" + std::string(loop)));
-  }
-  if (dma_.telemetry().enabled()) {
-    dma_.telemetry().counter("nvme.poll_deadline_exceeded").Add();
-  }
-  return true;
-}
-
 uint16_t NvmeDriver::NextCid() {
   // CID 0 is reserved so a zeroed CQE slot can never match a command.
   do {
@@ -114,21 +74,23 @@ Status NvmeDriver::Init() {
   }
   trace::ScopedSpan span(tracer_, "nvme.init");
   active_mode_ = dma_.service_mode(device_id_);
+  SPV_RETURN_IF_ERROR(CreateAdminQueue());
+  Status up = IdentifyController();
+  if (up.ok()) {
+    up = CreateIoQueue();
+  }
+  if (!up.ok()) {
+    (void)Shutdown();
+  }
+  return up;
+}
+
+Status NvmeDriver::CreateAdminQueue() {
   SPV_RETURN_IF_ERROR(AllocQueue(admin_, kAdminQid, config_.admin_queue_entries,
                                  config_.admin_queue_entries));
   device_->OnAdminQueueConfigured(QueuePair{kAdminQid, admin_.sq_iova,
                                             admin_.sq_entries, admin_.cq_iova,
                                             admin_.cq_entries});
-  Status identify = IdentifyController();
-  if (!identify.ok()) {
-    (void)Shutdown();
-    return identify;
-  }
-  Status io_queue = CreateIoQueue();
-  if (!io_queue.ok()) {
-    (void)Shutdown();
-    return io_queue;
-  }
   return OkStatus();
 }
 
@@ -187,9 +149,8 @@ Status NvmeDriver::AllocQueue(QueueView& view, uint16_t qid,
   view.cq_kva = *cq;
   view.cq_iova = *cq_iova;
   view.cq_entries = cq_entries;
-  dma::BouncePool* pool = dma_.bounce_pool();
-  view.sq_bounced = pool != nullptr && pool->Owns(device_id_, *sq_iova);
-  view.cq_bounced = pool != nullptr && pool->Owns(device_id_, *cq_iova);
+  view.sq_bounced = dma_.IsBounced(device_id_, *sq_iova);
+  view.cq_bounced = dma_.IsBounced(device_id_, *cq_iova);
   return OkStatus();
 }
 
@@ -197,21 +158,19 @@ Status NvmeDriver::FreeQueue(QueueView& view) {
   if (!view.live) {
     return OkStatus();
   }
+  // The controller forgets the queue pair before its memory goes away.
+  if (device_ != nullptr) {
+    device_->OnQueueDeleted(view.qid);
+  }
   dma_.set_current_cpu(config_.cpu);
-  Status first = OkStatus();
-  auto note = [&first](Status status) {
-    if (first.ok() && !status.ok()) {
-      first = status;
-    }
-  };
-  note(dma_.UnmapSingle(device_id_, view.sq_iova,
-                        static_cast<uint64_t>(view.sq_entries) * kSqeSize,
-                        dma::DmaDirection::kToDevice));
-  note(dma_.UnmapSingle(device_id_, view.cq_iova,
-                        static_cast<uint64_t>(view.cq_entries) * kCqeSize,
-                        dma::DmaDirection::kFromDevice));
-  note(slab_.Kfree(view.sq_kva));
-  note(slab_.Kfree(view.cq_kva));
+  Status first = dma_.UnmapSingle(device_id_, view.sq_iova,
+                                  static_cast<uint64_t>(view.sq_entries) * kSqeSize,
+                                  dma::DmaDirection::kToDevice);
+  first.Update(dma_.UnmapSingle(device_id_, view.cq_iova,
+                                static_cast<uint64_t>(view.cq_entries) * kCqeSize,
+                                dma::DmaDirection::kFromDevice));
+  first.Update(slab_.Kfree(view.sq_kva));
+  first.Update(slab_.Kfree(view.cq_kva));
   view = QueueView{};
   return first;
 }
@@ -230,23 +189,14 @@ Status NvmeDriver::IdentifyController() {
   }
   Sqe sqe;
   sqe.opcode = kAdminIdentify;
-  sqe.cid = NextCid();
   sqe.prp1 = iova->value;
-  Result<Cqe> cqe = AdminCommand(sqe);
-  Status first = cqe.ok() ? OkStatus() : cqe.status();
-  if (first.ok() && cqe->status != kScSuccess) {
-    first = Internal("identify failed with status " +
-                     std::to_string(cqe->status));
-  }
-  if (first.ok()) {
-    dma::BouncePool* pool = dma_.bounce_pool();
-    if (pool != nullptr && pool->Owns(device_id_, *iova)) {
-      // Transient bounces only copy out at unmap, but the capacity read
-      // happens while the page is still mapped — pull the device's identify
-      // bytes across the bounce boundary now.
-      first = dma_.SyncSingleForCpu(device_id_, *iova, kPageSize,
-                                    dma::DmaDirection::kFromDevice);
-    }
+  Status first = AdminCommand(sqe, "identify");
+  if (first.ok() && dma_.IsBounced(device_id_, *iova)) {
+    // Transient bounces only copy out at unmap, but the capacity read
+    // happens while the page is still mapped — pull the device's identify
+    // bytes across the bounce boundary now.
+    first = dma_.SyncSingleForCpu(device_id_, *iova, kPageSize,
+                                  dma::DmaDirection::kFromDevice);
   }
   if (first.ok()) {
     Result<uint64_t> capacity = kmem_.ReadU64(*page + kIdentifyCapacityOff);
@@ -268,35 +218,27 @@ Status NvmeDriver::CreateIoQueue() {
   // CQ before SQ, per spec: the SQ references its CQ at creation.
   Sqe create_cq;
   create_cq.opcode = kAdminCreateCq;
-  create_cq.cid = NextCid();
   create_cq.prp1 = io_.cq_iova.value;
   create_cq.cdw10 = static_cast<uint32_t>(kIoQid) |
                     (static_cast<uint32_t>(io_.cq_entries - 1) << 16);
-  Result<Cqe> cq_done = AdminCommand(create_cq);
-  if (!cq_done.ok() || cq_done->status != kScSuccess) {
-    (void)FreeQueue(io_);
-    return cq_done.ok() ? Internal("create cq failed with status " +
-                                   std::to_string(cq_done->status))
-                        : cq_done.status();
+  Status created = AdminCommand(create_cq, "create cq");
+  if (created.ok()) {
+    Sqe create_sq;
+    create_sq.opcode = kAdminCreateSq;
+    create_sq.prp1 = io_.sq_iova.value;
+    create_sq.cdw10 = static_cast<uint32_t>(kIoQid) |
+                      (static_cast<uint32_t>(io_.sq_entries - 1) << 16);
+    create_sq.cdw11 = kIoQid;
+    created = AdminCommand(create_sq, "create sq");
   }
-  Sqe create_sq;
-  create_sq.opcode = kAdminCreateSq;
-  create_sq.cid = NextCid();
-  create_sq.prp1 = io_.sq_iova.value;
-  create_sq.cdw10 = static_cast<uint32_t>(kIoQid) |
-                    (static_cast<uint32_t>(io_.sq_entries - 1) << 16);
-  create_sq.cdw11 = kIoQid;
-  Result<Cqe> sq_done = AdminCommand(create_sq);
-  if (!sq_done.ok() || sq_done->status != kScSuccess) {
+  if (!created.ok()) {
     (void)FreeQueue(io_);
-    return sq_done.ok() ? Internal("create sq failed with status " +
-                                   std::to_string(sq_done->status))
-                        : sq_done.status();
   }
-  return OkStatus();
+  return created;
 }
 
-Result<Cqe> NvmeDriver::AdminCommand(const Sqe& sqe) {
+Status NvmeDriver::AdminCommand(Sqe sqe, std::string_view what) {
+  sqe.cid = NextCid();
   if (!admin_.live) {
     return FailedPrecondition("admin queue down");
   }
@@ -311,15 +253,17 @@ Result<Cqe> NvmeDriver::AdminCommand(const Sqe& sqe) {
     if (cqe.has_value()) {
       if (cqe->cid != sqe.cid) {
         ++completion_errors_;
-        EmitNvmeEvent(dma_.telemetry(),
-                      telemetry::EventKind::kNvmeCompletionError,
-                      telemetry::Severity::kWarn, device_id_, 0, cqe->cid, this,
-                      sites_.admin_bad_cid);
+        Emit(telemetry::EventKind::kNvmeCompletionError, telemetry::Severity::kWarn, 0,
+             cqe->cid, sites_.admin_bad_cid);
         continue;
       }
-      return *cqe;
+      if (cqe->status != kScSuccess) {
+        return Internal(std::string(what) + " failed with status " +
+                        std::to_string(cqe->status));
+      }
+      return OkStatus();
     }
-    if (PollDeadlineHit(start, "admin_poll")) {
+    if (PollDeadlineHit(start, poll_deadline_hits_, config_.name, "admin_poll")) {
       return Unavailable("admin completion did not arrive");
     }
     clock_.Advance(kPollSpinCycles);
@@ -340,18 +284,18 @@ Result<uint16_t> NvmeDriver::SubmitWrite(uint64_t slba, uint16_t nblocks,
 
 Result<uint64_t> NvmeDriver::ReadBlocks(uint64_t slba, uint16_t nblocks,
                                         Kva buf) {
-  trace::ScopedSpan span(tracer_, "nvme.io");
-  Result<uint16_t> cid = SubmitRead(slba, nblocks, buf);
-  if (!cid.ok()) {
-    return cid.status();
-  }
-  return WaitFor(*cid);
+  return SubmitAndWait(kOpRead, slba, nblocks, buf);
 }
 
 Result<uint64_t> NvmeDriver::WriteBlocks(uint64_t slba, uint16_t nblocks,
                                          Kva buf) {
+  return SubmitAndWait(kOpWrite, slba, nblocks, buf);
+}
+
+Result<uint64_t> NvmeDriver::SubmitAndWait(uint8_t opcode, uint64_t slba,
+                                           uint16_t nblocks, Kva buf) {
   trace::ScopedSpan span(tracer_, "nvme.io");
-  Result<uint16_t> cid = SubmitWrite(slba, nblocks, buf);
+  Result<uint16_t> cid = SubmitIo(opcode, slba, nblocks, buf);
   if (!cid.ok()) {
     return cid.status();
   }
@@ -364,30 +308,42 @@ Status NvmeDriver::Flush() {
     return FailedPrecondition("io queue down");
   }
   trace::ScopedSpan span(tracer_, "nvme.io");
+  IoCmd req;
+  req.opcode = kOpFlush;
+  req.submit_cycle = clock_.now();
+  const uint16_t cid = NextCid();
+  SPV_RETURN_IF_ERROR(SubmitFlushWithCid(req, cid));
+  return WaitFor(cid).status();
+}
+
+Status NvmeDriver::SubmitFlushWithCid(const IoCmd& req, uint16_t cid) {
   Sqe sqe;
   sqe.opcode = kOpFlush;
-  sqe.cid = NextCid();
+  sqe.cid = cid;
   SPV_RETURN_IF_ERROR(WriteSqe(io_, sqe));
   io_.sq_tail = static_cast<uint16_t>((io_.sq_tail + 1) % io_.sq_entries);
-  IoCmd cmd;
-  cmd.opcode = kOpFlush;
-  cmd.submit_cycle = clock_.now();
-  outstanding_[sqe.cid] = std::move(cmd);
+  outstanding_nodes_.Put(outstanding_, cid, req);
   device_->OnSqDoorbell(kIoQid, io_.sq_tail);
-  return WaitFor(sqe.cid).status();
+  return OkStatus();
 }
 
 Result<uint16_t> NvmeDriver::SubmitIo(uint8_t opcode, uint64_t slba,
                                       uint16_t nblocks, Kva buf) {
   RefreshServiceMode();
+  IoCmd req;
+  req.opcode = opcode;
+  req.buf = buf;
+  req.submit_cycle = clock_.now();
+  req.slba = slba;
+  req.nblocks = nblocks;
   // CID 0 = "allocate one after validation" (CID 0 is reserved anyway).
-  return SubmitIoWithCid(opcode, slba, nblocks, buf, 0, clock_.now());
+  return SubmitIoWithCid(req, 0);
 }
 
-Result<uint16_t> NvmeDriver::SubmitIoWithCid(uint8_t opcode, uint64_t slba,
-                                             uint16_t nblocks, Kva buf,
-                                             uint16_t cid,
-                                             uint64_t submit_cycle) {
+Result<uint16_t> NvmeDriver::SubmitIoWithCid(const IoCmd& req, uint16_t cid) {
+  const uint8_t opcode = req.opcode;
+  const uint64_t slba = req.slba;
+  const uint16_t nblocks = req.nblocks;
   if (!io_.live) {
     return FailedPrecondition("io queue down");
   }
@@ -411,15 +367,18 @@ Result<uint16_t> NvmeDriver::SubmitIoWithCid(uint8_t opcode, uint64_t slba,
                                     ? dma::DmaDirection::kFromDevice
                                     : dma::DmaDirection::kToDevice;
   Result<Iova> iova =
-      dma_.MapSingle(device_id_, buf, len, dir, sites_.map_data);
+      dma_.MapSingle(device_id_, req.buf, len, dir, sites_.map_data);
   if (!iova.ok()) {
     return iova.status();
   }
+  IoCmd cmd = req;
+  cmd.len = len;
+  cmd.data_iova = *iova;
+  cmd.dir = dir;
   const uint64_t prp1 = iova->value;
   const uint64_t first_len =
       std::min(kPageSize - (prp1 & (kPageSize - 1)), len);
   uint64_t prp2 = 0;
-  std::vector<PrpSeg> segs;
   if (len > first_len) {
     // Every byte past the first page boundary is covered by page-aligned
     // entries at prp1+first_len, +4K, ... (MapSingle keeps the buffer
@@ -432,7 +391,7 @@ Result<uint16_t> NvmeDriver::SubmitIoWithCid(uint8_t opcode, uint64_t slba,
     if (pages.size() == 1) {
       prp2 = pages[0];  // PRP2-as-page: exactly one extra page, no list
     } else {
-      Status chain = BuildPrpChain(pages, segs, prp2);
+      Status chain = BuildPrpChain(pages, cmd.segs, prp2);
       if (!chain.ok()) {
         (void)dma_.UnmapSingle(device_id_, *iova, len, dir);
         return chain;
@@ -448,19 +407,14 @@ Result<uint16_t> NvmeDriver::SubmitIoWithCid(uint8_t opcode, uint64_t slba,
   sqe.nlb = static_cast<uint16_t>(nblocks - 1);
   Status wrote = WriteSqe(io_, sqe);
   if (!wrote.ok()) {
-    IoCmd scratch{opcode, buf, len, *iova, dir, std::move(segs), 0,
-                  slba, nblocks};
-    (void)ReleaseCmd(scratch, "sqe_write_failed");
+    (void)ReleaseCmd(cmd);
     return wrote;
   }
   io_.sq_tail = static_cast<uint16_t>((io_.sq_tail + 1) % io_.sq_entries);
-  IoCmd cmd{opcode, buf, len, *iova, dir, std::move(segs), submit_cycle,
-            slba, nblocks};
   const uint16_t use_cid = sqe.cid;
   outstanding_nodes_.Put(outstanding_, use_cid, std::move(cmd));
-  EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmeSubmit,
-                telemetry::Severity::kInfo, device_id_, len, iova->value, this,
-                opcode == kOpRead ? sites_.read : sites_.write);
+  Emit(telemetry::EventKind::kNvmeSubmit, telemetry::Severity::kInfo, len, iova->value,
+       opcode == kOpRead ? sites_.read : sites_.write);
   device_->OnSqDoorbell(kIoQid, io_.sq_tail);
   return use_cid;
 }
@@ -505,23 +459,12 @@ Status NvmeDriver::BuildPrpChain(const std::vector<uint64_t>& page_iovas,
     if (first.ok() && next_iova != 0) {
       first = kmem_.WriteU64(*kva + 8 * (kPrpSegEntries - 1), next_iova);
     }
-    if (!first.ok()) {
-      if (from_frag) {
-        (void)frag_pool_->Free(*kva);
-      } else {
-        (void)slab_.Kfree(*kva);
-      }
-      break;
-    }
     Result<Iova> seg_iova =
-        dma_.MapSingle(device_id_, *kva, seg_bytes,
-                       dma::DmaDirection::kToDevice, sites_.map_prp);
+        first.ok() ? dma_.MapSingle(device_id_, *kva, seg_bytes, dma::DmaDirection::kToDevice,
+                                    sites_.map_prp)
+                   : Result<Iova>(first);
     if (!seg_iova.ok()) {
-      if (from_frag) {
-        (void)frag_pool_->Free(*kva);
-      } else {
-        (void)slab_.Kfree(*kva);
-      }
+      (void)FreePrpSeg(PrpSeg{*kva, Iova{}, from_frag}, /*mapped=*/false);
       first = seg_iova.status();
       break;
     }
@@ -532,14 +475,7 @@ Status NvmeDriver::BuildPrpChain(const std::vector<uint64_t>& page_iovas,
   if (!first.ok()) {
     // Tear down the segments already built (they sit at indices s+1..end).
     for (size_t t = s + 1; t < num_segs; ++t) {
-      const PrpSeg& built = segs[base + t];
-      (void)dma_.UnmapSingle(device_id_, built.iova, seg_bytes,
-                             dma::DmaDirection::kToDevice);
-      if (built.from_frag) {
-        (void)frag_pool_->Free(built.kva);
-      } else {
-        (void)slab_.Kfree(built.kva);
-      }
+      (void)FreePrpSeg(segs[base + t], /*mapped=*/true);
     }
     segs.resize(base);
     return first;
@@ -608,7 +544,7 @@ uint32_t NvmeDriver::PollCompletions() {
     if (HandleIoCqe(*cqe)) {
       ++consumed;
     }
-    if (PollDeadlineHit(start, "cq_poll")) {
+    if (PollDeadlineHit(start, poll_deadline_hits_, config_.name, "cq_poll")) {
       break;
     }
     clock_.Advance(kPollSpinCycles);
@@ -623,9 +559,8 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     // Unknown CID: duplicate delivery (doorbell storm), a corrupted fetch's
     // completion, or a forgery that guessed wrong.
     ++completion_errors_;
-    EmitNvmeEvent(hub, telemetry::EventKind::kNvmeCompletionError,
-                  telemetry::Severity::kWarn, device_id_, 0, cqe.cid, this,
-                  sites_.bad_cid);
+    Emit(telemetry::EventKind::kNvmeCompletionError, telemetry::Severity::kWarn, 0, cqe.cid,
+         sites_.bad_cid);
     if (hub.enabled()) {
       c_completion_errors_.Get(hub).Add();
     }
@@ -638,15 +573,14 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     // Success claimed but the byte count disagrees: a short transfer (or a
     // forged DW0). The data cannot be trusted.
     ++completion_errors_;
-    EmitNvmeEvent(hub, telemetry::EventKind::kNvmeCompletionError,
-                  telemetry::Severity::kWarn, device_id_, transferred, cqe.cid,
-                  this, sites_.short_transfer);
+    Emit(telemetry::EventKind::kNvmeCompletionError, telemetry::Severity::kWarn, transferred,
+         cqe.cid, sites_.short_transfer);
     if (hub.enabled()) {
       c_completion_errors_.Get(hub).Add();
     }
     status = kScDataTransferError;
   }
-  (void)ReleaseCmd(cmd, "complete");
+  (void)ReleaseCmd(cmd);
   finished_nodes_.Put(finished_, cqe.cid, Finished{status, transferred});
   if (status == kScSuccess) {
     if (cmd.opcode == kOpRead) {
@@ -654,9 +588,8 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     } else if (cmd.opcode == kOpWrite) {
       ++writes_completed_;
     }
-    EmitNvmeEvent(hub, telemetry::EventKind::kNvmeComplete,
-                  telemetry::Severity::kInfo, device_id_, transferred, cqe.cid,
-                  this, sites_.complete);
+    Emit(telemetry::EventKind::kNvmeComplete, telemetry::Severity::kInfo, transferred, cqe.cid,
+         sites_.complete);
     if (hub.enabled()) {
       (cmd.opcode == kOpRead ? c_reads_ : c_writes_).Get(hub).Add();
       h_io_latency_cycles_.Get(hub).Record(clock_.now() - cmd.submit_cycle);
@@ -664,9 +597,8 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     }
   } else {
     ++io_errors_;
-    EmitNvmeEvent(hub, telemetry::EventKind::kNvmeComplete,
-                  telemetry::Severity::kWarn, device_id_, transferred, cqe.cid,
-                  this, sites_.error_status);
+    Emit(telemetry::EventKind::kNvmeComplete, telemetry::Severity::kWarn, transferred, cqe.cid,
+         sites_.error_status);
     if (hub.enabled()) {
       c_io_errors_.Get(hub).Add();
     }
@@ -693,7 +625,7 @@ Result<uint64_t> NvmeDriver::WaitFor(uint16_t cid) {
     if (finished_.count(cid) != 0) {
       continue;
     }
-    if (PollDeadlineHit(start, "wait")) {
+    if (PollDeadlineHit(start, poll_deadline_hits_, config_.name, "wait")) {
       // Leave the command outstanding: the watchdog owns it now.
       return Unavailable("completion did not arrive within poll deadline");
     }
@@ -703,37 +635,39 @@ Result<uint64_t> NvmeDriver::WaitFor(uint16_t cid) {
 
 // ---- Teardown / recovery --------------------------------------------------------
 
-Status NvmeDriver::ReleaseCmd(IoCmd& cmd, std::string_view /*why*/) {
+Status NvmeDriver::ReleaseCmd(IoCmd& cmd) {
   dma_.set_current_cpu(config_.cpu);
   Status first = OkStatus();
-  auto note = [&first](Status status) {
-    if (first.ok() && !status.ok()) {
-      first = status;
-    }
-  };
   if (cmd.len != 0) {
-    note(dma_.UnmapSingle(device_id_, cmd.data_iova, cmd.len, cmd.dir));
+    first = dma_.UnmapSingle(device_id_, cmd.data_iova, cmd.len, cmd.dir);
   }
-  for (PrpSeg& seg : cmd.segs) {
-    const uint64_t seg_bytes = seg.from_frag ? kPrpSegBytes : kPageSize;
-    note(dma_.UnmapSingle(device_id_, seg.iova, seg_bytes,
-                          dma::DmaDirection::kToDevice));
-    if (seg.from_frag) {
-      note(frag_pool_->Free(seg.kva));
-    } else {
-      note(slab_.Kfree(seg.kva));
-    }
+  for (const PrpSeg& seg : cmd.segs) {
+    first.Update(FreePrpSeg(seg, /*mapped=*/true));
   }
   cmd.segs.clear();
   cmd.len = 0;
   return first;
 }
 
-void NvmeDriver::FailAllOutstanding(std::string_view why) {
+Status NvmeDriver::FreePrpSeg(const PrpSeg& seg, bool mapped) {
+  Status first = OkStatus();
+  if (mapped) {
+    first = dma_.UnmapSingle(device_id_, seg.iova, seg.from_frag ? kPrpSegBytes : kPageSize,
+                             dma::DmaDirection::kToDevice);
+  }
+  first.Update(seg.from_frag ? frag_pool_->Free(seg.kva) : slab_.Kfree(seg.kva));
+  return first;
+}
+
+void NvmeDriver::FailCommand(uint16_t cid) {
+  ++io_errors_;
+  finished_nodes_.Put(finished_, cid, Finished{kScInternalError, 0});
+}
+
+void NvmeDriver::FailAllOutstanding() {
   for (auto& [cid, cmd] : outstanding_) {
-    (void)ReleaseCmd(cmd, why);
-    finished_[cid] = Finished{kScInternalError, 0};
-    ++io_errors_;
+    (void)ReleaseCmd(cmd);
+    FailCommand(cid);
   }
   outstanding_.clear();
 }
@@ -757,21 +691,17 @@ uint32_t NvmeDriver::CheckTimeouts() {
   // rebuild the queue pair (the controller-reset analogue of a TX watchdog).
   const uint32_t failed = static_cast<uint32_t>(outstanding_.size());
   ++queue_resets_;
-  EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmeQueueReset,
-                telemetry::Severity::kWarn, device_id_, failed, 0, this,
-                sites_.watchdog);
+  Emit(telemetry::EventKind::kNvmeQueueReset, telemetry::Severity::kWarn, failed, 0,
+       sites_.watchdog);
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nvme.queue_resets").Add();
   }
-  FailAllOutstanding("watchdog");
+  FailAllOutstanding();
   (void)ResetIoQueue();
   return failed;
 }
 
 Status NvmeDriver::ResetIoQueue() {
-  if (device_ != nullptr) {
-    device_->OnQueueDeleted(kIoQid);
-  }
   Status freed = FreeQueue(io_);
   Status created = CreateIoQueue();
   if (!created.ok()) {
@@ -806,81 +736,41 @@ void NvmeDriver::RefreshServiceMode() {
 Status NvmeDriver::SwitchServiceMode(dma::ServiceMode next) {
   in_mode_switch_ = true;
   trace::ScopedSpan span(tracer_, "nvme.mode_switch");
-  struct Pending {
-    uint16_t cid = 0;
-    uint8_t opcode = 0;
-    uint64_t slba = 0;
-    uint16_t nblocks = 0;
-    Kva buf;
-    uint64_t submit_cycle = 0;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(outstanding_.size());
-  for (auto& [cid, cmd] : outstanding_) {
-    pending.push_back(
-        Pending{cid, cmd.opcode, cmd.slba, cmd.nblocks, cmd.buf,
-                cmd.submit_cycle});
-    (void)ReleaseCmd(cmd, "mode_switch");
+  // The in-flight commands themselves are the snapshot: released (their
+  // mappings die with the rings) but kept for re-issue.
+  std::map<uint16_t, IoCmd> in_flight;
+  in_flight.swap(outstanding_);
+  for (auto& [cid, cmd] : in_flight) {
+    (void)ReleaseCmd(cmd);
   }
-  outstanding_.clear();
-  device_->OnQueueDeleted(kIoQid);
   Status first = FreeQueue(io_);
-  device_->OnQueueDeleted(kAdminQid);
-  Status freed_admin = FreeQueue(admin_);
-  if (first.ok()) {
-    first = freed_admin;
-  }
+  first.Update(FreeQueue(admin_));
   active_mode_ = next;
   ++mode_switches_;
-  EmitNvmeEvent(dma_.telemetry(), telemetry::EventKind::kNvmeQueueReset,
-                telemetry::Severity::kWarn, device_id_, pending.size(),
-                static_cast<uint64_t>(next), this,
-                sites_.mode_switch);
+  Emit(telemetry::EventKind::kNvmeQueueReset, telemetry::Severity::kWarn, in_flight.size(),
+       static_cast<uint64_t>(next), sites_.mode_switch);
   if (dma_.telemetry().enabled()) {
     dma_.telemetry().counter("nvme.mode_switches").Add();
   }
-  Status up = AllocQueue(admin_, kAdminQid, config_.admin_queue_entries,
-                         config_.admin_queue_entries);
+  Status up = CreateAdminQueue();
   if (up.ok()) {
-    device_->OnAdminQueueConfigured(QueuePair{kAdminQid, admin_.sq_iova,
-                                              admin_.sq_entries, admin_.cq_iova,
-                                              admin_.cq_entries});
     up = CreateIoQueue();
   }
   if (!up.ok()) {
     // Bring-up under the new routing failed (fenced/silent device): fail the
     // snapshot loudly and leave the queue down for Resume()/the watchdog.
-    for (const Pending& p : pending) {
-      finished_[p.cid] = Finished{kScInternalError, 0};
-      ++io_errors_;
+    for (const auto& [cid, cmd] : in_flight) {
+      FailCommand(cid);
     }
     in_mode_switch_ = false;
-    return first.ok() ? up : first;
+    first.Update(up);
+    return first;
   }
-  for (const Pending& p : pending) {
-    if (p.opcode == kOpFlush) {
-      Sqe sqe;
-      sqe.opcode = kOpFlush;
-      sqe.cid = p.cid;
-      Status wrote = WriteSqe(io_, sqe);
-      if (wrote.ok()) {
-        io_.sq_tail = static_cast<uint16_t>((io_.sq_tail + 1) % io_.sq_entries);
-        IoCmd cmd;
-        cmd.opcode = kOpFlush;
-        cmd.submit_cycle = p.submit_cycle;
-        outstanding_[p.cid] = std::move(cmd);
-        device_->OnSqDoorbell(kIoQid, io_.sq_tail);
-      } else {
-        finished_[p.cid] = Finished{kScInternalError, 0};
-        ++io_errors_;
-      }
-      continue;
-    }
-    Result<uint16_t> re = SubmitIoWithCid(p.opcode, p.slba, p.nblocks, p.buf,
-                                          p.cid, p.submit_cycle);
-    if (!re.ok()) {
-      finished_[p.cid] = Finished{kScInternalError, 0};
-      ++io_errors_;
+  for (const auto& [cid, cmd] : in_flight) {
+    const Status resubmitted = cmd.opcode == kOpFlush ? SubmitFlushWithCid(cmd, cid)
+                                                      : SubmitIoWithCid(cmd, cid).status();
+    if (!resubmitted.ok()) {
+      FailCommand(cid);
     }
   }
   in_mode_switch_ = false;
@@ -889,21 +779,9 @@ Status NvmeDriver::SwitchServiceMode(dma::ServiceMode next) {
 
 Status NvmeDriver::Shutdown() {
   trace::ScopedSpan span(tracer_, "nvme.shutdown");
-  Status first = OkStatus();
-  auto note = [&first](Status status) {
-    if (first.ok() && !status.ok()) {
-      first = status;
-    }
-  };
-  FailAllOutstanding("shutdown");
-  if (device_ != nullptr) {
-    device_->OnQueueDeleted(kIoQid);
-  }
-  note(FreeQueue(io_));
-  if (device_ != nullptr) {
-    device_->OnQueueDeleted(kAdminQid);
-  }
-  note(FreeQueue(admin_));
+  FailAllOutstanding();
+  Status first = FreeQueue(io_);
+  first.Update(FreeQueue(admin_));
   finished_.clear();
   return first;
 }

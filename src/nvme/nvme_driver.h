@@ -28,6 +28,7 @@
 #include "base/clock.h"
 #include "base/node_recycler.h"
 #include "base/site.h"
+#include "base/stat_counter.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "dma/dma_api.h"
@@ -37,10 +38,6 @@
 #include "recovery/supervised.h"
 #include "slab/page_frag.h"
 #include "slab/slab_allocator.h"
-
-namespace spv::fault {
-class FaultEngine;
-}  // namespace spv::fault
 
 namespace spv::nvme {
 
@@ -70,15 +67,9 @@ class NvmeDriver : public recovery::SupervisedDriver {
              slab::SlabAllocator& slab, slab::PageFragPool* frag_pool,
              SimClock& clock, Config config);
 
-  NvmeDriver(const NvmeDriver&) = delete;
-  NvmeDriver& operator=(const NvmeDriver&) = delete;
-
+  // The kNvme* fault sites live in the controller: the driver itself
+  // consults none, so it takes no fault hook.
   void AttachDevice(NvmeDeviceModel* device) { device_ = device; }
-  // Optional fault hook (the kNvme* sites live in the controller; the driver
-  // consults none itself but forwards arming state to queue-reset paths).
-  void set_fault_engine(fault::FaultEngine* engine) { fault_ = engine; }
-  // Optional causal span tracer: nullptr detaches.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
   // Brings the device up: admin queue pair, Identify, one IO queue pair
   // created through real admin commands (CreateCq/CreateSq fetched from the
@@ -91,16 +82,10 @@ class NvmeDriver : public recovery::SupervisedDriver {
   // hostile controller.
   Status Shutdown() override;
 
-  // SupervisedDriver re-attach hook: full re-init.
+  // SupervisedDriver re-attach hook: full re-init. (The trust-probation
+  // hook, ApplyDmaPolicy, clamps the CQ poll budget and the number of
+  // commands outstanding at once.)
   Status Resume() override;
-
-  // Trust-probation hook (spv::policy): clamps the CQ poll budget and the
-  // number of commands outstanding at once. A zeroed struct restores the
-  // config defaults; limits only ever tighten, never exceed them.
-  void ApplyDmaPolicy(const recovery::DmaPolicyLimits& limits) override {
-    policy_limits_ = limits;
-  }
-  const recovery::DmaPolicyLimits& policy_limits() const { return policy_limits_; }
 
   // ---- Block IO ---------------------------------------------------------------
 
@@ -131,7 +116,6 @@ class NvmeDriver : public recovery::SupervisedDriver {
 
   // ---- Introspection -----------------------------------------------------------
 
-  DeviceId device_id() const { return device_id_; }
   const Config& config() const { return config_; }
   uint64_t capacity_blocks() const { return capacity_blocks_; }
   bool io_queue_live() const { return io_.live; }
@@ -207,20 +191,28 @@ class NvmeDriver : public recovery::SupervisedDriver {
 
   Status AllocQueue(QueueView& view, uint16_t qid, uint16_t sq_entries,
                     uint16_t cq_entries);
+  // Tells the controller the queue pair is gone, then unmaps and frees it.
   Status FreeQueue(QueueView& view);
+  // Admin queue pair, configured on the controller.
+  Status CreateAdminQueue();
   Status IdentifyController();
   Status CreateIoQueue();
-  // Synchronous admin round trip: SQE in, CQE out, bounded poll.
-  Result<Cqe> AdminCommand(const Sqe& sqe);
+  // Synchronous admin round trip under a fresh CID: SQE in, CQE out, bounded
+  // poll. A completion with bad status fails as "<what> failed ...".
+  Status AdminCommand(Sqe sqe, std::string_view what);
 
   Result<uint16_t> SubmitIo(uint8_t opcode, uint64_t slba, uint16_t nblocks,
                             Kva buf);
-  // SubmitIo body with the CID and submit cycle pinned — the resubmit path
-  // of a live service-mode switch reuses the original identity so callers
+  // ReadBlocks / WriteBlocks: SubmitIo, then WaitFor.
+  Result<uint64_t> SubmitAndWait(uint8_t opcode, uint64_t slba, uint16_t nblocks,
+                                 Kva buf);
+  // SubmitIo body for the request in `req` (opcode, slba, nblocks, buf,
+  // submit cycle) under `cid` (0 = allocate one). The resubmit path of a
+  // live service-mode switch passes the released command itself, so callers
   // blocked in WaitFor(cid) never notice the rings moved.
-  Result<uint16_t> SubmitIoWithCid(uint8_t opcode, uint64_t slba,
-                                   uint16_t nblocks, Kva buf, uint16_t cid,
-                                   uint64_t submit_cycle);
+  Result<uint16_t> SubmitIoWithCid(const IoCmd& req, uint16_t cid);
+  // The flush counterpart, for Flush() and the same resubmit path.
+  Status SubmitFlushWithCid(const IoCmd& req, uint16_t cid);
   // Compares the router's service mode against active_mode_; on change,
   // re-homes the rings (teardown + bring-up under the new mode) and
   // re-issues every in-flight command with its original CID.
@@ -238,23 +230,17 @@ class NvmeDriver : public recovery::SupervisedDriver {
   // a completion error) when the CQE is implausible.
   bool HandleIoCqe(const Cqe& cqe);
   // Unmaps data + PRP segments of `cmd`; frees the segments.
-  Status ReleaseCmd(IoCmd& cmd, std::string_view why);
-  void FailAllOutstanding(std::string_view why);
+  Status ReleaseCmd(IoCmd& cmd);
+  // Frees one PRP-list segment, unmapping it first when `mapped`.
+  Status FreePrpSeg(const PrpSeg& seg, bool mapped);
+  // Completes `cid` with an internal error.
+  void FailCommand(uint16_t cid);
+  void FailAllOutstanding();
   Status ResetIoQueue();
-  bool PollDeadlineHit(uint64_t start_cycle, std::string_view loop);
   uint16_t NextCid();
-  // Config values after the trust-policy clamp (identity with no limits).
-  uint64_t EffectivePollDeadline() const {
-    return policy_limits_.poll_deadline_cycles != 0 &&
-                   policy_limits_.poll_deadline_cycles < config_.poll_deadline_cycles
-               ? policy_limits_.poll_deadline_cycles
-               : config_.poll_deadline_cycles;
-  }
+  // Commands the IO queue may hold at once, after the trust-policy clamp.
   size_t EffectiveQueueDepth() const {
-    const size_t cap = io_.sq_entries == 0 ? 0 : static_cast<size_t>(io_.sq_entries) - 1;
-    return policy_limits_.ring_limit != 0 && policy_limits_.ring_limit < cap
-               ? policy_limits_.ring_limit
-               : cap;
+    return ClampRingLimit(io_.sq_entries == 0 ? 0 : io_.sq_entries - 1u);
   }
 
   // Record and event sites ("nvme0_map_data", "nvme0_read", ...), interned
@@ -282,18 +268,12 @@ class NvmeDriver : public recovery::SupervisedDriver {
     Site mode_switch;
   };
 
-  DeviceId device_id_;
-  dma::DmaApi& dma_;
   dma::KernelMemory& kmem_;
   slab::SlabAllocator& slab_;
   slab::PageFragPool* frag_pool_;
-  SimClock& clock_;
   Config config_;
   Sites sites_;
   NvmeDeviceModel* device_ = nullptr;
-  fault::FaultEngine* fault_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
-  recovery::DmaPolicyLimits policy_limits_;  // zeroed = full service
 
   QueueView admin_;
   QueueView io_;
@@ -312,7 +292,7 @@ class NvmeDriver : public recovery::SupervisedDriver {
   uint64_t io_errors_ = 0;          // commands that completed with bad status
   uint64_t completion_errors_ = 0;  // CQEs rejected as implausible
   uint32_t queue_resets_ = 0;
-  uint64_t poll_deadline_hits_ = 0;
+  StatCounter poll_deadline_hits_;
   uint64_t prp_segments_built_ = 0;
   dma::ServiceMode active_mode_ = dma::ServiceMode::kZeroCopy;
   uint32_t mode_switches_ = 0;

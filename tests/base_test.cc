@@ -73,6 +73,17 @@ TEST(StatusTest, DefaultIsOk) {
   EXPECT_EQ(s.ToString(), "OK");
 }
 
+TEST(StatusTest, UpdateKeepsTheFirstError) {
+  Status s;
+  s.Update(OkStatus());
+  EXPECT_TRUE(s.ok());
+  s.Update(NotFound("first"));
+  s.Update(Internal("second"));
+  s.Update(OkStatus());
+  EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  EXPECT_EQ(s.message(), "first");
+}
+
 TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   Status s = PermissionDenied("iommu fault");
   EXPECT_FALSE(s.ok());

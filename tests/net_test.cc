@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/machine.h"
+#include "fault/fault.h"
 #include "mem/kernel_symbols.h"
 #include "net/gro.h"
 #include "net/layouts.h"
@@ -348,7 +349,7 @@ TEST_F(DriverFixture, WrongOrderDriverLeavesMappingLiveDuringBuild) {
         : device_(device), iova_(iova), flag_(flag) {}
     void OnRxPosted(const RxPostedDescriptor& d) override { device_.OnRxPosted(d); }
     void OnTxPosted(const TxPostedDescriptor& d) override { device_.OnTxPosted(d); }
-    void OnRxCompleting(uint32_t) override {
+    void OnRxCompleting(uint32_t, uint32_t) override {
       std::vector<uint8_t> poison(8, 0xee);
       flag_ = device_.DeviceWrite(iova_, poison).ok();
     }
@@ -568,6 +569,55 @@ TEST_F(XdpFixture, XdpTxBouncesRewrittenPacket) {
   std::vector<uint8_t> wire(descriptor.linear_len);
   ASSERT_TRUE(device_->DeviceRead(descriptor.linear_iova, std::span<uint8_t>(wire)).ok());
   EXPECT_EQ(wire[PacketHeader::kSize], 0xfe);
+}
+
+// A frame XDP consumes (drop, or a TX bounce that could not be posted) is
+// not the caller's error: a failed refill arms the retry backoff like every
+// other completion, and the slot is posted again once the backoff passes.
+TEST_F(XdpFixture, XdpDropRefillFailureArmsTheRetry) {
+  CountingXdp program{XdpVerdict::kDrop};
+  NicDriver& driver = MakeXdpDriver(&program);
+  fault::FaultPlan plan;
+  plan.OneShot(fault::FaultSite::kNicRxRefillStarve);
+  machine_.fault().Arm(plan, 7);
+  PacketHeader header{.dst_ip = 1, .dst_port = 9, .proto = kProtoUdp};
+  const std::vector<uint8_t> payload(64, 0x21);
+  Result<uint32_t> index = device_->InjectRx(machine_.kmem(), header, payload);
+  ASSERT_TRUE(index.ok());
+  Result<SkBuffPtr> result = driver.CompleteRx(*index, PacketHeader::kSize + 64);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->get(), nullptr);
+  EXPECT_EQ(driver.xdp_drops(), 1u);
+  EXPECT_EQ(driver.rx_refill_failures(), 1u);
+  EXPECT_FALSE(driver.RxSlotIova(*index).has_value());
+  EXPECT_EQ(driver.RetryRefills(), 0u);  // still inside the backoff window
+  machine_.clock().Advance(driver.config().refill_retry_backoff_cycles);
+  EXPECT_EQ(driver.RetryRefills(), 1u);
+  EXPECT_TRUE(driver.RxSlotIova(*index).has_value());
+  EXPECT_EQ(device_->rx_posted().size(), 8u);
+  machine_.fault().Disarm();
+}
+
+TEST_F(XdpFixture, XdpTxThatCannotPostIsDroppedAndTheSlotRefilled) {
+  CountingXdp program{XdpVerdict::kTx};
+  NicDriver& driver = MakeXdpDriver(&program);
+  // The first map after arming is the bounce's TX linear map.
+  fault::FaultPlan plan;
+  plan.OneShot(fault::FaultSite::kIovaAlloc);
+  machine_.fault().Arm(plan, 7);
+  PacketHeader header{.dst_ip = 1, .dst_port = 9, .proto = kProtoUdp};
+  const std::vector<uint8_t> payload(64, 0x21);
+  Result<uint32_t> index = device_->InjectRx(machine_.kmem(), header, payload);
+  ASSERT_TRUE(index.ok());
+  Result<SkBuffPtr> result = driver.CompleteRx(*index, PacketHeader::kSize + 64);
+  machine_.fault().Disarm();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->get(), nullptr);
+  EXPECT_EQ(driver.xdp_tx(), 0u);
+  EXPECT_EQ(driver.xdp_drops(), 1u);
+  EXPECT_TRUE(device_->tx_posted().empty());
+  EXPECT_TRUE(driver.RxSlotIova(*index).has_value());  // refilled at once
+  EXPECT_EQ(device_->rx_posted().size(), 8u);
 }
 
 TEST_F(XdpFixture, XdpPassDeliversNormally) {

@@ -103,11 +103,13 @@ TEST(AttackEquivalence, TypeDReadLeaksDirectButNotBounced) {
       // Zero-copy mapping covers the whole slab page: the neighbour's secret
       // is device-readable — the vulnerability the paper characterizes.
       EXPECT_TRUE(leaked);
+      EXPECT_FALSE(machine.dma().IsBounced(dev, *iova));
     } else {
       // Bounce: the device sees a dedicated page holding only the probe's
       // own bytes over scrubbed zeros.
       EXPECT_FALSE(leaked);
       EXPECT_TRUE(machine.bounce_pool()->Owns(dev, *iova));
+      EXPECT_TRUE(machine.dma().IsBounced(dev, *iova));
     }
     ASSERT_TRUE(
         machine.dma().UnmapSingle(dev, *iova, 192, dma::DmaDirection::kToDevice).ok());

@@ -29,7 +29,9 @@ class TestNicDevice : public net::NicDeviceModel {
   void OnTxPosted(const net::TxPostedDescriptor& descriptor) override {
     tx_posted_.push_back(descriptor);
   }
-  void OnRxCompleting(uint32_t index) override { rx_completing_.push_back(index); }
+  void OnRxCompleting(uint32_t /*queue*/, uint32_t index) override {
+    rx_completing_.push_back(index);
+  }
 
   // Picks the oldest posted RX descriptor, DMA-writes header+payload into it,
   // and returns its index (the "interrupt" the driver would then service).
