@@ -581,7 +581,9 @@ bool NvmeDriver::HandleIoCqe(const Cqe& cqe) {
     status = kScDataTransferError;
   }
   (void)ReleaseCmd(cmd);
-  finished_nodes_.Put(finished_, cqe.cid, Finished{status, transferred});
+  if (!cmd.abandoned) {
+    finished_nodes_.Put(finished_, cqe.cid, Finished{status, transferred});
+  }
   if (status == kScSuccess) {
     if (cmd.opcode == kOpRead) {
       ++reads_completed_;
@@ -618,15 +620,22 @@ Result<uint64_t> NvmeDriver::WaitFor(uint16_t cid) {
       }
       return result.transferred;
     }
-    if (outstanding_.find(cid) == outstanding_.end()) {
+    auto pending = outstanding_.find(cid);
+    if (pending == outstanding_.end()) {
       return Unavailable("command aborted before completion");
     }
+    pending->second.abandoned = false;  // a caller is waiting for it (again)
     PollCompletions();
     if (finished_.count(cid) != 0) {
       continue;
     }
     if (PollDeadlineHit(start, poll_deadline_hits_, config_.name, "wait")) {
-      // Leave the command outstanding: the watchdog owns it now.
+      // Leave the command outstanding — the watchdog owns it now — but with
+      // no caller left to claim it, its eventual result is not stored.
+      pending = outstanding_.find(cid);
+      if (pending != outstanding_.end()) {
+        pending->second.abandoned = true;
+      }
       return Unavailable("completion did not arrive within poll deadline");
     }
     clock_.Advance(kPollSpinCycles);
@@ -659,15 +668,17 @@ Status NvmeDriver::FreePrpSeg(const PrpSeg& seg, bool mapped) {
   return first;
 }
 
-void NvmeDriver::FailCommand(uint16_t cid) {
+void NvmeDriver::FailCommand(uint16_t cid, const IoCmd& cmd) {
   ++io_errors_;
-  finished_nodes_.Put(finished_, cid, Finished{kScInternalError, 0});
+  if (!cmd.abandoned) {
+    finished_nodes_.Put(finished_, cid, Finished{kScInternalError, 0});
+  }
 }
 
 void NvmeDriver::FailAllOutstanding() {
   for (auto& [cid, cmd] : outstanding_) {
     (void)ReleaseCmd(cmd);
-    FailCommand(cid);
+    FailCommand(cid, cmd);
   }
   outstanding_.clear();
 }
@@ -760,7 +771,7 @@ Status NvmeDriver::SwitchServiceMode(dma::ServiceMode next) {
     // Bring-up under the new routing failed (fenced/silent device): fail the
     // snapshot loudly and leave the queue down for Resume()/the watchdog.
     for (const auto& [cid, cmd] : in_flight) {
-      FailCommand(cid);
+      FailCommand(cid, cmd);
     }
     in_mode_switch_ = false;
     first.Update(up);
@@ -770,7 +781,7 @@ Status NvmeDriver::SwitchServiceMode(dma::ServiceMode next) {
     const Status resubmitted = cmd.opcode == kOpFlush ? SubmitFlushWithCid(cmd, cid)
                                                       : SubmitIoWithCid(cmd, cid).status();
     if (!resubmitted.ok()) {
-      FailCommand(cid);
+      FailCommand(cid, cmd);
     }
   }
   in_mode_switch_ = false;

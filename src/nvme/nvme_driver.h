@@ -106,7 +106,8 @@ class NvmeDriver : public recovery::SupervisedDriver {
 
   // Polls until `cid` completes or the poll deadline passes. On success
   // returns bytes transferred; a vanished completion returns Unavailable and
-  // leaves the command for the watchdog.
+  // leaves the command for the watchdog, abandoned: unless a later WaitFor
+  // claims it again, its eventual completion or failure stores no result.
   Result<uint64_t> WaitFor(uint16_t cid);
 
   // Watchdog: commands outstanding past completion_timeout_cycles are failed
@@ -120,6 +121,8 @@ class NvmeDriver : public recovery::SupervisedDriver {
   uint64_t capacity_blocks() const { return capacity_blocks_; }
   bool io_queue_live() const { return io_.live; }
   size_t outstanding() const { return outstanding_.size(); }
+  // Results stored for completed commands that no WaitFor has collected yet.
+  size_t unclaimed_results() const { return finished_.size(); }
   uint64_t reads_completed() const { return reads_completed_; }
   uint64_t writes_completed() const { return writes_completed_; }
   uint64_t io_errors() const { return io_errors_; }
@@ -182,6 +185,8 @@ class NvmeDriver : public recovery::SupervisedDriver {
     // mode switch (ring teardown invalidates data_iova and the PRP chain).
     uint64_t slba = 0;
     uint16_t nblocks = 0;
+    // Its WaitFor gave up: the completion (or failure) stores no result.
+    bool abandoned = false;
   };
 
   struct Finished {
@@ -233,8 +238,8 @@ class NvmeDriver : public recovery::SupervisedDriver {
   Status ReleaseCmd(IoCmd& cmd);
   // Frees one PRP-list segment, unmapping it first when `mapped`.
   Status FreePrpSeg(const PrpSeg& seg, bool mapped);
-  // Completes `cid` with an internal error.
-  void FailCommand(uint16_t cid);
+  // Completes `cid` with an internal error (no result if abandoned).
+  void FailCommand(uint16_t cid, const IoCmd& cmd);
   void FailAllOutstanding();
   Status ResetIoQueue();
   uint16_t NextCid();

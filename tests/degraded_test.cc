@@ -196,6 +196,37 @@ TEST(DegradedNvme, MidIoDemotionSwitchesModeLiveAndPreservesCommands) {
   EXPECT_EQ(pool->total_active(), 0u);
 }
 
+// A flush whose waiter gave up rides a live mode switch like any other
+// command: re-issued under its CID on the new rings and completed there,
+// and, still abandoned, it leaves no result behind.
+TEST(DegradedNvme, AbandonedFlushIsReissuedAcrossAModeSwitch) {
+  nvme::NvmeDriver::Config dc;
+  dc.poll_deadline_cycles = SimClock::UsToCycles(100);
+  NvmeRig rig(TrustedConfig(9010, iommu::InvalidationMode::kDeferred), dc);
+  ASSERT_TRUE(rig.driver.Init().ok());
+  fault::FaultPlan plan;
+  plan.OneShot(fault::FaultSite::kNvmeCompletionDrop);
+  rig.machine.fault().Arm(plan, 1);
+  EXPECT_EQ(rig.driver.Flush().code(), StatusCode::kUnavailable);
+  rig.machine.fault().Disarm();
+  ASSERT_EQ(rig.driver.outstanding(), 1u);
+
+  ASSERT_TRUE(rig.machine.policy()->Demote(rig.driver.device_id(), "test evidence").ok());
+  EXPECT_EQ(rig.driver.PollCompletions(), 1u);
+  EXPECT_EQ(rig.driver.mode_switches(), 1u);
+  EXPECT_EQ(rig.driver.service_mode(), dma::ServiceMode::kBounceSync);
+  EXPECT_EQ(rig.driver.outstanding(), 0u);
+  EXPECT_EQ(rig.driver.unclaimed_results(), 0u);
+  EXPECT_EQ(rig.driver.io_errors(), 0u);
+  // A fresh flush completes on the sync'd rings.
+  EXPECT_TRUE(rig.driver.Flush().ok());
+
+  EXPECT_TRUE(rig.machine.CheckInvariants().ok());
+  EXPECT_TRUE(rig.driver.Shutdown().ok());
+  EXPECT_EQ(rig.machine.dma().live_mappings(), 0u);
+  EXPECT_EQ(rig.machine.bounce_pool()->total_active(), 0u);
+}
+
 TEST(DegradedNvme, PromotionDrainsSyncRingsLeakFree) {
   core::MachineConfig mc = DegradedConfig(9003, iommu::InvalidationMode::kStrict);
   mc.forensics.enabled = true;

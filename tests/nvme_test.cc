@@ -388,6 +388,70 @@ TEST(NvmeCompletionTest, WatchdogResetsQueueAfterLostCompletion) {
   EXPECT_TRUE(rig.machine.CheckInvariants().ok());
 }
 
+// A command whose WaitFor gave up is abandoned: neither a late completion
+// nor the watchdog's failure may park a result that no caller will claim
+// (they would pile up until NextCid could no longer find a free CID).
+TEST(NvmeCompletionTest, AbandonedCommandsLeaveNoUnclaimedResult) {
+  NvmeDriver::Config driver_config;
+  driver_config.completion_timeout_cycles = SimClock::MsToCycles(5);
+  driver_config.poll_deadline_cycles = SimClock::UsToCycles(100);
+  EvilRig rig{BaseConfig(12), driver_config};
+  ASSERT_TRUE(rig.driver.Init().ok());
+  auto buf = rig.machine.slab().Kmalloc(kLbaSize, "nvme_abandon");
+  ASSERT_TRUE(buf.ok());
+  fault::FaultPlan plan;
+  plan.OneShot(fault::FaultSite::kNvmeCompletionDrop);
+
+  // Late completion: the CQE arrives after the waiter has given up.
+  rig.machine.fault().Arm(plan, 1);
+  Result<uint16_t> late = rig.driver.SubmitWrite(0, 1, *buf);
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(rig.driver.WaitFor(*late).status().code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(
+      rig.controller.ForgePoisonedCompletion(kIoQid, *late, kScSuccess, kLbaSize).ok());
+  EXPECT_EQ(rig.driver.PollCompletions(), 1u);
+  EXPECT_EQ(rig.driver.outstanding(), 0u);
+  EXPECT_EQ(rig.driver.unclaimed_results(), 0u);
+
+  // Watchdog: the command is failed after its waiter gave up.
+  rig.machine.fault().Arm(plan, 2);
+  Result<uint16_t> lost = rig.driver.SubmitWrite(1, 1, *buf);
+  ASSERT_TRUE(lost.ok());
+  EXPECT_EQ(rig.driver.WaitFor(*lost).status().code(), StatusCode::kUnavailable);
+  rig.machine.clock().Advance(SimClock::MsToCycles(6));
+  EXPECT_EQ(rig.driver.CheckTimeouts(), 1u);
+  EXPECT_EQ(rig.driver.io_errors(), 1u);
+  EXPECT_EQ(rig.driver.unclaimed_results(), 0u);
+
+  // A caller that waits again reclaims its command's result.
+  rig.machine.fault().Arm(plan, 3);
+  Result<uint16_t> again = rig.driver.SubmitWrite(2, 1, *buf);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(rig.driver.WaitFor(*again).status().code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(
+      rig.controller.ForgePoisonedCompletion(kIoQid, *again, kScSuccess, kLbaSize).ok());
+  Result<uint64_t> claimed = rig.driver.WaitFor(*again);
+  ASSERT_TRUE(claimed.ok());
+  EXPECT_EQ(*claimed, kLbaSize);
+  EXPECT_EQ(rig.driver.unclaimed_results(), 0u);
+
+  rig.machine.fault().Disarm();
+  ASSERT_TRUE(rig.machine.slab().Kfree(*buf).ok());
+  ASSERT_TRUE(rig.driver.Shutdown().ok());
+  EXPECT_EQ(rig.machine.dma().live_mappings(), 0u);
+}
+
+TEST(NvmeIoTest, FlushCompletesThroughTheIoQueue) {
+  Rig rig{BaseConfig(13)};
+  ASSERT_TRUE(rig.driver.Init().ok());
+  EXPECT_TRUE(rig.driver.Flush().ok());
+  EXPECT_EQ(rig.driver.outstanding(), 0u);
+  EXPECT_EQ(rig.driver.unclaimed_results(), 0u);
+  EXPECT_EQ(rig.driver.io_errors(), 0u);
+  ASSERT_TRUE(rig.driver.Shutdown().ok());
+  EXPECT_EQ(rig.machine.dma().live_mappings(), 0u);
+}
+
 TEST(NvmeShutdownTest, ShutdownWithCommandsInFlightIsLeakFree) {
   EvilRig rig{BaseConfig(10)};
   ASSERT_TRUE(rig.driver.Init().ok());
