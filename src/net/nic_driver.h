@@ -147,7 +147,9 @@ class NicDriver : public recovery::SupervisedDriver {
   // `index` of `queue`: builds the sk_buff (per the configured ordering),
   // refills the slot, returns the packet. Device-originated garbage (an
   // injected drop, truncation or descriptor-writeback fault) is dropped with
-  // accounting and returns a null skb — only caller misuse returns an error.
+  // accounting and returns a null skb, as does a frame an XDP program
+  // consumed (XDP_DROP, or an XDP_TX the TX ring could not take); a failed
+  // refill arms the retry backoff. Only caller misuse returns an error.
   Result<SkBuffPtr> CompleteRx(uint32_t index, uint32_t pkt_len) {
     return CompleteRx(0, index, pkt_len);
   }
